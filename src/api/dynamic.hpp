@@ -14,12 +14,13 @@
 // Cached covers and per-slice tree decompositions are keyed by version,
 // and a commit invalidates only what it touches: when a new version's
 // cover is built, every slice that is structurally identical to a slice of
-// the previous version *shares* that version's memoized tree decomposition
+// the previous version *shares* that version's tree-decomposition slot
 // (decompositions are deterministic functions of the slice, so sharing is
-// exact), and only the slices the edit actually changed are rebuilt —
-// lazily, on the next query that needs them. CacheStats::slices_reused /
-// slices_rebuilt expose the split; per-version cover residency is charged
-// against the one set_cache_capacity bound.
+// exact, and whichever version solves the slice first builds it for both);
+// only the slices the edit actually changed get fresh slots. Every slot is
+// filled lazily, by the first query that solves its slice.
+// CacheStats::slices_reused / slices_rebuilt expose the split; per-version
+// cover residency is charged against the one set_cache_capacity bound.
 //
 // Embedded targets stay embedded: a commit re-validates planarity
 // incrementally on the touched region by patching the rotation system

@@ -31,7 +31,6 @@
 #include "planar/face_vertex_graph.hpp"
 #include "support/fault.hpp"
 #include "support/simd.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/scheduler.hpp"
 #include "support/timer.hpp"
@@ -155,11 +154,6 @@ std::uint32_t default_runs(Vertex n) {
   return static_cast<std::uint32_t>(2.0 * lg) + 4;
 }
 
-/// Per-slice tree decompositions of one cover. shared_ptr elements so
-/// structurally identical slices of consecutive target versions share one
-/// decomposition instead of rebuilding it (api/dynamic.hpp).
-using TdList = std::vector<std::shared_ptr<const treedecomp::TreeDecomposition>>;
-
 treedecomp::TreeDecomposition decompose_slice(
     const Slice& slice, cover::DecompositionKind kind) {
   using namespace treedecomp;
@@ -176,6 +170,68 @@ treedecomp::TreeDecomposition decompose_slice(
   return binarize(
       greedy_decomposition(slice.graph, GreedyStrategy::kMinDegree));
 }
+
+/// One slice's tree decomposition, built the first time a query needs it
+/// (its slice task, witness recovery, or the collect-mode replay). Publish
+/// is lock-free and first-writer-wins: decompose_slice is deterministic, so
+/// a racing duplicate build is identical and simply dropped, and no task
+/// ever blocks on another's build (see the locking discipline in
+/// support/scheduler.hpp). A build that throws leaves the slot empty for
+/// the next query to fill.
+struct TdSlot {
+  std::atomic<const treedecomp::TreeDecomposition*> td{nullptr};
+
+  TdSlot() = default;
+  TdSlot(const TdSlot&) = delete;
+  TdSlot& operator=(const TdSlot&) = delete;
+  ~TdSlot() { delete td.load(std::memory_order_relaxed); }
+};
+
+/// Per-slice decomposition counters of one Solver (CacheStats).
+struct SliceCounters {
+  std::atomic<std::uint64_t> rebuilt{0};
+  std::atomic<std::uint64_t> reused{0};
+};
+
+/// The decompositions of one kind for one cover entry: a slot per slice.
+/// Structurally identical slices of consecutive target versions hold the
+/// *same* slot (api/dynamic.hpp), so whichever version needs the slice
+/// first builds it for both. The slot vector is fixed at creation; only
+/// the slots' contents and the accounted flags change afterwards.
+struct TdList {
+  cover::DecompositionKind kind = cover::DecompositionKind::kGreedyMinDegree;
+  std::vector<std::shared_ptr<TdSlot>> slots;
+  std::vector<std::uint8_t> shared;  ///< slot came from the donor version
+  /// Set when a replay first accounts the slice (see note_accounted).
+  std::unique_ptr<std::atomic<std::uint8_t>[]> accounted;
+  SliceCounters* counters = nullptr;  ///< the owning Solver's
+
+  /// Slice i's decomposition, building it on first use. A warm read is
+  /// one acquire load.
+  const treedecomp::TreeDecomposition& get(std::size_t i,
+                                           const Slice& slice) const {
+    std::atomic<const treedecomp::TreeDecomposition*>& td = slots[i]->td;
+    if (const auto* built = td.load(std::memory_order_acquire)) return *built;
+    auto fresh = std::make_unique<const treedecomp::TreeDecomposition>(
+        decompose_slice(slice, kind));
+    const treedecomp::TreeDecomposition* winner = nullptr;
+    if (td.compare_exchange_strong(winner, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire))
+      return *fresh.release();
+    return *winner;  // a concurrent build published an identical one first
+  }
+
+  /// Counts slice i as rebuilt or reused the first time any query's
+  /// slice-order replay accounts it. The replay is deterministic, so the
+  /// counters are too: speculative builds the replay discards, and which
+  /// thread or version happened to build a shared slot, never show.
+  void note_accounted(std::size_t i) const {
+    if (accounted[i].exchange(1, std::memory_order_relaxed) != 0) return;
+    (shared[i] != 0 ? counters->reused : counters->rebuilt)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+};
 
 iso::DpSolution solve_slice(const Slice& slice,
                             const treedecomp::TreeDecomposition& td,
@@ -307,7 +363,8 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
   // (solved in parallel in the PRAM reading): their work adds, their
   // rounds compose as a maximum. Allocation events add and scratch peaks
   // max-merge, mirroring the work/rounds split.
-  const auto account = [&](const iso::DpSolution& sol) {
+  const auto account = [&](std::size_t i, const iso::DpSolution& sol) {
+    tds.note_accounted(i);
     if (decision == nullptr) return;
     decision->metrics.add_work(sol.metrics.work());
     decision->metrics.add_allocs(sol.metrics.allocs());
@@ -362,14 +419,15 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
     }
     const Slice& slice = cover.slices[i];
     const iso::DpSolution& sol = outcome.sol;
-    account(sol);
+    account(i, sol);
     replayed[i] = 1;
     if (!sol.accepted) {
       outcome.sol = {};  // accounted; free before replaying the rest
       return;
     }
     replay.found = true;
-    for (Assignment a : iso::recover_assignments(sol, *tds[i], limit)) {
+    for (Assignment a :
+         iso::recover_assignments(sol, tds.get(i, slice), limit)) {
       for (Vertex& image : a) image = slice.origin_of[image];
       collect->insert(std::move(a));
     }
@@ -410,8 +468,11 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
           // A requested park skips the slice *before* any work: the slice
           // is not cancelled, just deferred to the post-resume round.
           if (park != nullptr && park->park_requested()) return;
+          // Decomposed on demand: a cold cover builds only the slices
+          // its queries actually solve.
+          const Slice& slice = cover.slices[i];
           SliceOutcome& out = outcomes[i];
-          out.sol = solve_slice(cover.slices[i], *tds[i], pattern, options,
+          out.sol = solve_slice(slice, tds.get(i, slice), pattern, options,
                                 release_interior, scope);
           if (scope.cancelled()) {
             out.sol = {};  // partial (paths/nodes skipped): free, never read
@@ -487,15 +548,14 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
       return false;
     }
     const iso::DpSolution& sol = outcome.sol;
-    const treedecomp::TreeDecomposition& td = *tds[i];
-    account(sol);
+    account(i, sol);
     if (!sol.accepted) {
       outcome.sol = {};  // accounted; free before replaying the rest
       continue;
     }
     if (!release_interior && decision != nullptr &&
         !decision->witness.has_value()) {
-      auto assignments = iso::recover_assignments(sol, td, 1);
+      auto assignments = iso::recover_assignments(sol, tds.get(i, slice), 1);
       if (!assignments.empty()) {
         Assignment witness = assignments.front();
         for (Vertex& image : witness) image = slice.origin_of[image];
@@ -546,10 +606,11 @@ struct CoverKey {
   }
 };
 
-/// One memoized cover plus its per-kind slice decompositions. Built under
-/// `mutex`; immutable afterwards (new decomposition kinds only append map
-/// nodes, never touch existing ones) — which is what lets a newer version's
-/// build read a donor entry's slices and share its decomposition pointers
+/// One memoized cover plus its per-kind slice decomposition slots. The
+/// cover and each kind's slot vector are built under `mutex` and never
+/// change afterwards (a new kind only appends a map node); the slots fill
+/// in lock-free as queries decompose their slices. That is what lets a
+/// newer version's build read a donor entry's slices and share its slots
 /// after only a flag check under the donor's mutex.
 struct CoverEntry {
   std::mutex mutex;
@@ -634,8 +695,7 @@ struct Solver::Impl {
   std::atomic<std::uint64_t> td_hits{0};
   std::atomic<std::uint64_t> td_misses{0};
   std::atomic<std::uint64_t> evictions{0};
-  std::atomic<std::uint64_t> slices_rebuilt{0};
-  std::atomic<std::uint64_t> slices_reused{0};
+  SliceCounters slice_counters;
   std::atomic<std::uint64_t> stale_purged{0};
 
   /// Installs the initial version (id 1); constructor-only, no locking.
@@ -728,7 +788,11 @@ struct Solver::Impl {
         // Containment note: a throw from here (including the injected
         // point) unwinds the lock_guards with cover_ready still false and
         // no miss counted — the entry stays an empty shell a later query
-        // (or a pool retry) builds from scratch.
+        // (or a pool retry) builds from scratch. Decompositions are not
+        // built here at all: a throw from decompose_slice (the
+        // "solver.decompose" point) happens inside a slice task, reaches
+        // the query's containment through Scheduler::run, and leaves that
+        // slot empty, so a retry decomposes it afresh.
         PPSI_FAULT_POINT("solver.cover_build");
         // The cover skeleton (clustering, BFS levels, slice graphs) is
         // always rebuilt from the pinned version's graph — it is cheap
@@ -750,65 +814,53 @@ struct Solver::Impl {
       auto it = entry.tds.find(kind);
       if (it == entry.tds.end()) {
         // Delta invalidation: match this cover's slices against the donor
-        // version's; structurally identical slices share the donor's
-        // decomposition pointer (decompose_slice is deterministic, so the
-        // shared object equals what a rebuild would produce), the rest
-        // rebuild below. Locking order entry -> donor is acyclic: a
-        // thread only ever waits on strictly older versions.
+        // version's; structurally identical slices share the donor's slot
+        // (decompose_slice is deterministic, so whichever version decomposes
+        // the slice first builds it for both), the rest get fresh slots.
+        // Nothing is decomposed here: slice tasks fill the slots on demand.
+        // Locking order entry -> donor is acyclic: a thread only ever waits
+        // on strictly older versions.
         const Cover* donor_cover = nullptr;
-        TdList donor_tds;
+        std::vector<std::shared_ptr<TdSlot>> donor_slots;
         if (donor && donor != access.entry) {
           const std::lock_guard<std::mutex> donor_lock(donor->mutex);
           if (donor->cover_ready) {
             auto donor_it = donor->tds.find(kind);
             if (donor_it != donor->tds.end()) {
               donor_cover = &donor->cover;  // immutable once ready
-              donor_tds = donor_it->second;
+              donor_slots = donor_it->second.slots;
             }
           }
         }
-        TdList tds(entry.cover.slices.size());
-        std::vector<std::size_t> rebuild;
+        const std::size_t num_slices = entry.cover.slices.size();
+        TdList tds;
+        tds.kind = kind;
+        tds.slots.resize(num_slices);
+        tds.shared.assign(num_slices, 0);
+        tds.accounted =
+            std::make_unique<std::atomic<std::uint8_t>[]>(num_slices);
+        tds.counters = &slice_counters;
+        std::unordered_multimap<std::uint64_t, std::size_t> by_signature;
         if (donor_cover != nullptr) {
-          std::unordered_multimap<std::uint64_t, std::size_t> by_signature;
           for (std::size_t i = 0; i < donor_cover->slices.size(); ++i)
             by_signature.emplace(slice_signature(donor_cover->slices[i]), i);
-          for (std::size_t i = 0; i < entry.cover.slices.size(); ++i) {
-            const Slice& slice = entry.cover.slices[i];
+        }
+        for (std::size_t i = 0; i < num_slices; ++i) {
+          const Slice& slice = entry.cover.slices[i];
+          if (!by_signature.empty()) {
             const auto [lo, hi] =
                 by_signature.equal_range(slice_signature(slice));
             for (auto match = lo; match != hi; ++match) {
               if (slice_equal(slice, donor_cover->slices[match->second])) {
-                tds[i] = donor_tds[match->second];
+                tds.slots[i] = donor_slots[match->second];
+                tds.shared[i] = 1;
+                donated = true;
                 break;
               }
             }
-            if (!tds[i]) rebuild.push_back(i);
           }
-        } else {
-          rebuild.resize(tds.size());
-          for (std::size_t i = 0; i < tds.size(); ++i) rebuild[i] = i;
+          if (!tds.slots[i]) tds.slots[i] = std::make_shared<TdSlot>();
         }
-        // Slices decompose independently, so the build fans out across the
-        // team (each iteration fills its own pre-sized slot; results are
-        // per-slice deterministic, so the assembled vector is too). This
-        // runs under entry.mutex, so it must be parallel_for, never a
-        // TaskGraph: a task suspension here could pick up an arbitrary
-        // sibling query task that takes the same mutex (see the locking
-        // discipline in support/scheduler.hpp). Grain 1: decompositions
-        // are orders of magnitude heavier than a loop iteration's overhead.
-        support::parallel_for(
-            0, rebuild.size(),
-            [&](std::size_t r) {
-              const std::size_t i = rebuild[r];
-              tds[i] = std::make_shared<const treedecomp::TreeDecomposition>(
-                  decompose_slice(entry.cover.slices[i], kind));
-            },
-            /*grain=*/1);
-        slices_rebuilt.fetch_add(rebuild.size(), std::memory_order_relaxed);
-        slices_reused.fetch_add(tds.size() - rebuild.size(),
-                                std::memory_order_relaxed);
-        donated = tds.size() > rebuild.size();
         it = entry.tds.emplace(kind, std::move(tds)).first;
         td_misses.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -1635,8 +1687,10 @@ CacheStats Solver::cache_stats() const {
   stats.decomposition_misses =
       impl_->td_misses.load(std::memory_order_relaxed);
   stats.cover_evictions = impl_->evictions.load(std::memory_order_relaxed);
-  stats.slices_rebuilt = impl_->slices_rebuilt.load(std::memory_order_relaxed);
-  stats.slices_reused = impl_->slices_reused.load(std::memory_order_relaxed);
+  stats.slices_rebuilt =
+      impl_->slice_counters.rebuilt.load(std::memory_order_relaxed);
+  stats.slices_reused =
+      impl_->slice_counters.reused.load(std::memory_order_relaxed);
   stats.stale_covers_purged =
       impl_->stale_purged.load(std::memory_order_relaxed);
   {
@@ -1697,8 +1751,8 @@ void Solver::clear_cache() {
   impl_->td_hits.store(0, std::memory_order_relaxed);
   impl_->td_misses.store(0, std::memory_order_relaxed);
   impl_->evictions.store(0, std::memory_order_relaxed);
-  impl_->slices_rebuilt.store(0, std::memory_order_relaxed);
-  impl_->slices_reused.store(0, std::memory_order_relaxed);
+  impl_->slice_counters.rebuilt.store(0, std::memory_order_relaxed);
+  impl_->slice_counters.reused.store(0, std::memory_order_relaxed);
   impl_->stale_purged.store(0, std::memory_order_relaxed);
   {
     // The harvested sub-solver counters are cache counters; the version

@@ -118,9 +118,11 @@ inline constexpr std::size_t kDefaultCacheCapacity = 256;
 Status validate(const QueryOptions& options);
 
 /// Cache observability (cumulative since construction / clear_cache()).
-/// A "cover" entry is one {cover + memoized per-slice tree decompositions}
-/// unit; decomposition hits count queries that found the tree
-/// decompositions of their kind already built for a cached cover.
+/// A "cover" entry is one {cover + per-slice tree-decomposition slots}
+/// unit. Decomposition hits count queries that found the slots of their
+/// kind already set up for a cached cover (decomposition misses: queries
+/// that set them up); the slots themselves fill on demand, one slice at a
+/// time, as queries solve the slices.
 struct CacheStats {
   std::uint64_t cover_hits = 0;
   std::uint64_t cover_misses = 0;
@@ -135,10 +137,14 @@ struct CacheStats {
   std::uint64_t versions_committed = 0;  ///< successful apply() commits
   std::uint64_t versions_reclaimed = 0;  ///< versions whose last pin drained
   std::uint64_t live_versions = 0;       ///< currently reachable snapshots
-  /// Per-slice tree decompositions built from scratch (a cold target build
-  /// counts here too — compare deltas across an edit).
+  /// Cover slices whose tree decomposition is this version's own (a cold
+  /// target counts here too — compare deltas across an edit). Both slice
+  /// counters count a slice of a cover entry (per decomposition kind) once,
+  /// when a query's slice-order replay first accounts it. Decompositions
+  /// that speculative slice tasks build but no replay reads do not count,
+  /// so the counters are identical for every thread count.
   std::uint64_t slices_rebuilt = 0;
-  /// Per-slice tree decompositions structurally shared from the previous
+  /// Cover slices whose decomposition slot is shared with the previous
   /// version because the edit left the slice untouched.
   std::uint64_t slices_reused = 0;
   /// Cover entries of dead (fully drained) versions dropped by the sweep.
@@ -179,9 +185,9 @@ class Solver {
   // edit that would break a planar embedding) nothing changes. Queries
   // already in flight keep the version they pinned; queries starting after
   // the commit see the new one. Covers and per-slice tree decompositions
-  // are maintained incrementally: only the slices an edit touches are
-  // rebuilt on the next query, the rest are shared with the previous
-  // version (see CacheStats::slices_rebuilt / slices_reused).
+  // are maintained incrementally: only the slices an edit touches get
+  // fresh decomposition slots, the rest share the previous version's (see
+  // CacheStats::slices_rebuilt / slices_reused).
 
   /// Refcounted handle to the latest committed snapshot.
   TargetVersion current_version() const;

@@ -44,7 +44,8 @@
 // other task on its own stack trying to take the same lock: deadlock.
 // NEVER hold a mutex across a TaskGraph run. Parallel work under a lock
 // belongs in support::parallel_for, whose nested regions cannot steal
-// tasks (the cover cache's decompose fan-out does exactly this).
+// tasks (the cover build's clustering, which runs under the cover cache's
+// entry lock, does exactly this).
 //
 // Cooperative cancellation rides along as a CancelWatermark: "first
 // accepting index wins" queries lower the watermark when an index accepts,

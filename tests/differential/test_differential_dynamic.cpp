@@ -258,20 +258,22 @@ TEST(DynamicLocality, LocalEditRebuildsStrictlyFewerSlicesThanCold) {
   // edit on a large grid, the incremental query's decomposition rebuilds
   // (beyond the warm-up's) are strictly fewer than what the cold oracle
   // rebuilt for the same query — and the difference is exactly what the
-  // sharing counter reports as reused.
-  const Pattern c4 = Pattern::from_graph(gen::cycle_graph(4));
+  // sharing counter reports as reused. Slices are decomposed on demand,
+  // so the query is an absent C5 on the bipartite grid, which solves every
+  // slice (a present C4 stops at the first accepting one).
+  const Pattern c5 = Pattern::from_graph(gen::cycle_graph(5));
   QueryOptions query;
   query.seed = 5;
 
   Solver dynamic(gen::grid_graph(8, 8));
-  ASSERT_TRUE(dynamic.find(c4, query).ok());
+  ASSERT_TRUE(dynamic.find(c5, query).ok());
   const std::uint64_t warmup_rebuilt = dynamic.cache_stats().slices_rebuilt;
   ASSERT_TRUE(dynamic.remove_edge(0, 1).ok());
-  const Result<DecisionResult> incremental = dynamic.find(c4, query);
+  const Result<DecisionResult> incremental = dynamic.find(c5, query);
   ASSERT_TRUE(incremental.ok());
 
   Solver cold(dynamic.target());
-  const Result<DecisionResult> oracle = cold.find(c4, query);
+  const Result<DecisionResult> oracle = cold.find(c5, query);
   ASSERT_TRUE(oracle.ok());
   EXPECT_EQ(incremental->found, oracle->found);
   EXPECT_EQ(incremental->witness, oracle->witness);

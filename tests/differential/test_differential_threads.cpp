@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/dynamic.hpp"
 #include "api/solver.hpp"
 #include "graph/generators.hpp"
 #include "isomorphism/parallel_engine.hpp"
@@ -192,6 +193,60 @@ TEST_P(SolverThreads, ListIsThreadCountInvariant) {
     EXPECT_EQ(reference.iterations, got.iterations) << where;
     EXPECT_EQ(reference.work, got.work) << where;
     EXPECT_EQ(reference.rounds, got.rounds) << where;
+  }
+}
+
+TEST_P(SolverThreads, ColdCacheStatsAreThreadCountInvariant) {
+  // Slice decompositions are built on demand inside speculative slice
+  // tasks, so how many get built varies with the team size; the cache
+  // counters must not. They count what the slice-order replay accounts.
+  const std::uint64_t seed = 9800 + GetParam();
+  std::string family;
+  const Graph g = ppsi::testing::random_target(seed, &family);
+  const Pattern pattern = ppsi::testing::random_pattern(seed, 2, 4);
+  const std::string context =
+      "seed " + std::to_string(seed) + " family " + family;
+  QueryOptions opts;
+  opts.seed = seed + 3;
+  opts.max_runs = 4;
+
+  struct Capture {
+    std::vector<std::uint64_t> counters;
+    std::uint64_t work = 0;
+  };
+  const auto run_cold = [&](int t) {
+    return with_threads(t, [&]() -> Capture {
+      Solver solver(g);
+      Capture out;
+      const Result<DecisionResult> cold = solver.find(pattern, opts);
+      EXPECT_TRUE(cold.ok()) << context;
+      out.work = cold->metrics.work();
+      // One edit, then the same decision: the rebuilt/reused split of the
+      // incremental query must be schedule-independent too.
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        if (g.degree(v) == 0) continue;
+        EXPECT_TRUE(solver.remove_edge(v, g.neighbors(v)[0]).ok()) << context;
+        const Result<DecisionResult> edited = solver.find(pattern, opts);
+        EXPECT_TRUE(edited.ok()) << context;
+        out.work += edited->metrics.work();
+        break;
+      }
+      const CacheStats s = solver.cache_stats();
+      out.counters = {s.cover_hits,           s.cover_misses,
+                      s.decomposition_hits,   s.decomposition_misses,
+                      s.cover_entries,        s.cover_evictions,
+                      s.slices_rebuilt,       s.slices_reused,
+                      s.stale_covers_purged};
+      return out;
+    });
+  };
+  const Capture reference = run_cold(1);
+  EXPECT_GT(reference.counters[6], 0u) << context;  // slices_rebuilt
+  for (const int t : kThreadCounts) {
+    const Capture got = run_cold(t);
+    const std::string where = context + " threads=" + std::to_string(t);
+    EXPECT_EQ(reference.counters, got.counters) << where;
+    EXPECT_EQ(reference.work, got.work) << where;
   }
 }
 

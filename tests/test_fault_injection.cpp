@@ -205,6 +205,61 @@ TEST(FaultContainment, BlockingQueryContainsInjectedFaults) {
   EXPECT_EQ(after->witness, reference->witness);
 }
 
+TEST(FaultContainment, DecomposeFaultLeavesTheSlotEmptyAndRetryMatches) {
+  // Slice decompositions are built on demand inside slice tasks, so the
+  // "solver.decompose" point fires there. Both solvers first warm the same
+  // covers with min-degree decompositions; the min-fill queries below then
+  // hit those covers and differ only in who decomposed what.
+  auto& injector = FaultInjector::instance();
+  const iso::Pattern c5 = cycle_pattern(5);  // absent: every slice solved
+  QueryOptions min_degree;
+  min_degree.max_runs = 2;
+  QueryOptions min_fill = min_degree;
+  min_fill.decomposition = cover::DecompositionKind::kGreedyMinFill;
+  Solver faulted(gen::grid_graph(10, 10));
+  Solver reference(gen::grid_graph(10, 10));
+  ASSERT_TRUE(faulted.find(c5, min_degree).ok());
+  ASSERT_TRUE(reference.find(c5, min_degree).ok());
+  const std::uint64_t rebuilt_before = faulted.cache_stats().slices_rebuilt;
+
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.rate = 1;  // every decomposition attempt throws
+  plan.kind = FaultKind::kThrow;
+  plan.point_filter = "solver.decompose";
+  // The second armed attempt proves the first left its slots empty: a
+  // published decomposition would never be rebuilt (and never throw).
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    injector.reset_stats();
+    const ScopedFaultPlan scoped(plan);
+    const auto r = faulted.find(c5, min_fill);
+    ASSERT_TRUE(r.has_value()) << "attempt " << attempt;
+    if (FaultInjector::compiled_in()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInternal)
+          << "attempt " << attempt << ": " << r.status().to_string();
+      EXPECT_GT(injector.stats().thrown, 0u) << "attempt " << attempt;
+      // A failed query accounts no slice, so the counters do not move.
+      EXPECT_EQ(faulted.cache_stats().slices_rebuilt, rebuilt_before);
+    } else {
+      EXPECT_TRUE(r.ok()) << r.status().to_string();
+    }
+  }
+
+  // Disarmed, the retry decomposes afresh and answers bit-identically to a
+  // solver that never saw a fault, with equal work.
+  const auto retry = faulted.find(c5, min_fill);
+  const auto want = reference.find(c5, min_fill);
+  ASSERT_TRUE(retry.ok()) << retry.status().to_string();
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(retry->found, want->found);
+  EXPECT_EQ(retry->witness, want->witness);
+  EXPECT_EQ(retry->runs, want->runs);
+  EXPECT_EQ(retry->slices_solved, want->slices_solved);
+  EXPECT_EQ(retry->metrics.work(), want->metrics.work());
+  EXPECT_EQ(faulted.cache_stats().slices_rebuilt,
+            reference.cache_stats().slices_rebuilt);
+}
+
 TEST(FaultContainment, SolverDestructorDrainsAsyncUnderFaults) {
   FaultPlan plan;
   plan.seed = 5;

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -143,11 +146,15 @@ TEST(DimacsIo, RejectsMalformed) {
 
 TEST(FileIo, RoundTripThroughDisk) {
   const Graph g = gen::cycle_graph(9);
-  const std::string path = ::testing::TempDir() + "/ppsi_io_test.txt";
+  // Per-process names: ctest runs the omp1 and omp4 registrations of this
+  // suite concurrently, and a shared file races between them.
+  const std::string stem =
+      ::testing::TempDir() + "/ppsi_io_test_" + std::to_string(::getpid());
+  const std::string path = stem + ".txt";
   write_graph_file(g, path);
   const Graph h = read_graph_file(path);
   EXPECT_EQ(h.edge_list(), g.edge_list());
-  const std::string dimacs = ::testing::TempDir() + "/ppsi_io_test.col";
+  const std::string dimacs = stem + ".col";
   write_graph_file(g, dimacs);
   EXPECT_EQ(read_graph_file(dimacs).edge_list(), g.edge_list());
 }

@@ -258,8 +258,54 @@ TEST(SolverCache, RepeatedQueriesHitTheCoverCache) {
   stats = solver.cache_stats();
   EXPECT_EQ(stats.cover_entries, 0u);
   EXPECT_EQ(stats.cover_hits, 0u);
+  EXPECT_EQ(stats.slices_rebuilt, 0u);
   ASSERT_TRUE(solver.find(c5, opts).ok());
   EXPECT_EQ(solver.cache_stats().cover_misses, 3u);
+}
+
+TEST(SolverCache, ColdQueriesDecomposeOnlyTheSlicesTheySolve) {
+  // Slice decompositions are built on demand. A present C4 stops at its
+  // first accepting slice, so it decomposes exactly the slices it solved,
+  // and a warm repeat decomposes none.
+  Solver solver(gen::grid_graph(12, 12));
+  QueryOptions one;
+  one.max_runs = 1;
+  const auto present = solver.find(cycle_pattern(4), one);
+  ASSERT_TRUE(present.ok());
+  ASSERT_TRUE(present->found);
+  EXPECT_EQ(solver.cache_stats().slices_rebuilt, present->slices_solved);
+  EXPECT_EQ(solver.cache_stats().slices_reused, 0u);
+
+  const auto again = solver.find(cycle_pattern(4), one);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->slices_solved, present->slices_solved);
+  EXPECT_EQ(solver.cache_stats().slices_rebuilt, present->slices_solved);
+
+  // An absent pattern with the same cover key (diameter 2, 4 vertices: the
+  // diamond, which needs a triangle) reuses that cover and solves every
+  // eligible slice, decomposing the ones the C4 left untouched.
+  const Pattern diamond = Pattern::from_graph(
+      Graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}));
+  const auto absent = solver.find(diamond, one);
+  ASSERT_TRUE(absent.ok());
+  ASSERT_FALSE(absent->found);
+  EXPECT_EQ(solver.cache_stats().cover_hits, 2u);
+  EXPECT_EQ(solver.cache_stats().slices_rebuilt, absent->slices_solved);
+  EXPECT_LT(present->slices_solved, absent->slices_solved);
+}
+
+TEST(SolverCache, AbsentPatternDecomposesEveryEligibleSlice) {
+  // C5 on the bipartite grid never accepts: every run solves, and so
+  // decomposes, each slice large enough to host the pattern once.
+  Solver solver(gen::grid_graph(8, 8));
+  const auto absent = solver.find(cycle_pattern(5));
+  ASSERT_TRUE(absent.ok());
+  ASSERT_FALSE(absent->found);
+  EXPECT_GT(absent->slices_solved, absent->runs);
+  EXPECT_EQ(solver.cache_stats().slices_rebuilt, absent->slices_solved);
+  const auto warm = solver.find(cycle_pattern(5));
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(solver.cache_stats().slices_rebuilt, absent->slices_solved);
 }
 
 TEST(SolverCache, VertexConnectivityReusesFaceVertexState) {

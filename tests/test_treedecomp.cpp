@@ -130,5 +130,80 @@ TEST(Binarize, HighDegreeNodeGetsChained) {
   EXPECT_GT(bin.num_nodes(), td.num_nodes());
 }
 
+// --- Golden outputs of the elimination kernel ----------------------------
+//
+// The Solver's results and instrumented work depend on the exact bags and
+// parents the constructions emit, not only on their validity, so the kernel
+// is pinned bit for bit: FNV-1a over (node count, then per node its parent,
+// bag size and bag members) for each strategy on fixed inputs, plus one
+// literal decomposition that shows what the digest covers.
+
+std::uint64_t fingerprint(const TreeDecomposition& td) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(td.num_nodes());
+  for (NodeId x = 0; x < td.num_nodes(); ++x) {
+    mix(td.parent[x]);
+    mix(td.bags[x].size());
+    for (const Vertex v : td.bags[x]) mix(v);
+  }
+  return h;
+}
+
+struct GoldenCase {
+  const char* name;
+  Graph g;
+  std::uint64_t min_degree;
+  std::uint64_t min_fill;
+  std::uint64_t bfs_layer;  ///< rooted at vertex 0
+};
+
+TEST(GoldenDecompositions, BagsAndParentsArePinned) {
+  const std::vector<GoldenCase> cases = {
+      {"grid6x6", gen::grid_graph(6, 6),
+       16042008514243849827ull, 6288000274020932627ull,
+       1958335306872464029ull},
+      {"grid4x11", gen::grid_graph(4, 11),
+       15709836618617426311ull, 15356795834241463087ull,
+       15680719091812251447ull},
+      {"apollonian40", gen::apollonian(40, 3).graph(),
+       18170987023025280972ull, 18170987023025280972ull,
+       12157641037746266483ull},
+      {"apollonian120", gen::apollonian(120, 9).graph(),
+       9497013386348361693ull, 9497013386348361693ull,
+       15733841177151007789ull},
+      {"loop_apollonian", gen::loop_subdivide(gen::apollonian(12, 5), 1).graph(),
+       9466490727991365660ull, 9498855045820618194ull, 758220516413770895ull},
+  };
+  for (const GoldenCase& c : cases) {
+    EXPECT_EQ(fingerprint(greedy_decomposition(c.g, GreedyStrategy::kMinDegree)),
+              c.min_degree)
+        << c.name << " min-degree";
+    EXPECT_EQ(fingerprint(greedy_decomposition(c.g, GreedyStrategy::kMinFill)),
+              c.min_fill)
+        << c.name << " min-fill";
+    EXPECT_EQ(fingerprint(bfs_layer_decomposition(c.g, 0)), c.bfs_layer)
+        << c.name << " bfs-layer";
+  }
+}
+
+TEST(GoldenDecompositions, LiteralGridMinDegree) {
+  const TreeDecomposition td = greedy_decomposition(gen::grid_graph(3, 3));
+  // 0 1 2
+  // 3 4 5   corners first (degree 2), then the centre's neighbourhood.
+  // 6 7 8
+  const std::vector<std::vector<Vertex>> bags = {
+      {0, 1, 3}, {1, 2, 5}, {3, 6, 7}, {5, 7, 8}, {1, 3, 4, 5},
+      {3, 4, 5, 7}, {4, 5, 7}, {5, 7}, {7}};
+  const std::vector<NodeId> parent = {4, 4, 5, 7, 5, 6, 7, 8, kNoNode};
+  EXPECT_EQ(td.bags, bags);
+  EXPECT_EQ(td.parent, parent);
+}
+
 }  // namespace
 }  // namespace ppsi::treedecomp

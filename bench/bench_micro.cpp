@@ -1,10 +1,9 @@
 // Microbenchmarks of the substrates: graph building, BFS, clustering,
 // components, tree decomposition, planarity testing, mesh subdivision —
-// plus the bit-parallel DP kernels (kernel_* cases below): the SIMD hash
-// kernel, single vs batched FlatMap/SigIndex probes, and the reference vs
-// bit-parallel support-combo enumeration. Each kernel pair runs the exact
-// same instrumented work (pinned by the 0%-threshold work gate), so the
-// wall-median ratio between the pair's cases is the kernel speedup.
+// plus the bit-parallel DP kernel (kernel_combo cases below): the reference
+// vs bit-parallel support-combo enumeration. Both cases run the exact same
+// instrumented work (pinned by the 0%-threshold work gate), so the
+// wall-median ratio between them is the kernel speedup.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,13 +17,9 @@
 #include "graph/generators.hpp"
 #include "harness/corpus.hpp"
 #include "harness/harness.hpp"
-#include "isomorphism/group_probe.hpp"
 #include "isomorphism/sequential_dp.hpp"
-#include "isomorphism/sig_index.hpp"
 #include "planar/lr_planarity.hpp"
-#include "support/flat_table.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
 using namespace ppsi;
@@ -41,34 +36,6 @@ double per_second(double items, const ppsi::bench::Trial& trial) {
 }
 
 // ---- Bit-parallel DP kernel cases ----
-
-/// Deterministic (code, sep) keys; distinct across (seed, index).
-std::vector<iso::StateKey> random_keys(std::size_t n, std::uint64_t seed) {
-  support::Rng rng(seed, /*stream=*/0x6b657973);
-  std::vector<iso::StateKey> keys(n);
-  for (iso::StateKey& k : keys) {
-    k.code = rng.next_u64();
-    k.sep = rng.next_u64();
-  }
-  return keys;
-}
-
-/// Probe stream against a key set: even slots are hits (keys re-drawn in a
-/// shuffled order), odd slots are fresh keys (misses with overwhelming
-/// probability over the 128-bit key space).
-std::vector<iso::StateKey> probe_stream(const std::vector<iso::StateKey>& keys,
-                                        std::uint64_t seed) {
-  support::Rng rng(seed, /*stream=*/0x70726f62);
-  std::vector<iso::StateKey> probes(keys.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    if (i % 2 == 0) {
-      probes[i] = keys[rng.next_below(keys.size())];
-    } else {
-      probes[i] = {rng.next_u64(), rng.next_u64()};
-    }
-  }
-  return probes;
-}
 
 /// Shared fixture of the combo-kernel pair: one decomposed target, its bag
 /// contexts/child links, and the locally valid states per node (capped
@@ -148,100 +115,6 @@ iso::Pattern kernel_pattern() {
 }
 
 void register_kernel_benchmarks(Registry& reg, const Corpus& corpus) {
-  using iso::StateKey;
-  namespace simd = support::simd;
-
-  // kernel_hash: the raw (code, sep) -> StateKeyHash batch kernel, scalar
-  // vs runtime-dispatched SIMD. Pure compute, no memory system effects.
-  {
-    const std::size_t n = corpus.n(500000, 4096);
-    auto keys = std::make_shared<std::vector<StateKey>>(random_keys(n, 21));
-    auto out = std::make_shared<std::vector<std::uint64_t>>(n);
-    reg.add("kernel_hash/scalar", [keys, out, n](Trial& trial) {
-      trial.measure([&] {
-        simd::hash_pairs_scalar(
-            reinterpret_cast<const std::uint64_t*>(keys->data()), n,
-            out->data());
-      });
-      trial.add_work(n);
-      trial.counter("checksum", static_cast<double>(out->back() & 0xffff));
-    });
-    reg.add("kernel_hash/dispatch", [keys, out, n](Trial& trial) {
-      trial.measure([&] {
-        simd::hash_pairs(reinterpret_cast<const std::uint64_t*>(keys->data()),
-                         n, out->data());
-      });
-      trial.add_work(n);
-      trial.counter("checksum", static_cast<double>(out->back() & 0xffff));
-      trial.counter("simd_variant",
-                    static_cast<double>(simd::active_variant()));
-    });
-  }
-
-  // kernel_flatmap: one-at-a-time find() vs the hashed/prefetched batch
-  // probe (group_probe.hpp) against a table too big for L2.
-  {
-    const std::size_t n = corpus.n(400000, 4096);
-    auto map = std::make_shared<support::FlatMap<StateKey, iso::StateKeyHash>>();
-    const std::vector<StateKey> keys = random_keys(n, 33);
-    map->reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      map->emplace(keys[i], static_cast<std::uint32_t>(i));
-    auto probes =
-        std::make_shared<std::vector<StateKey>>(probe_stream(keys, 34));
-    reg.add("kernel_flatmap/single", [map, probes](Trial& trial) {
-      std::uint64_t sum = 0;
-      trial.measure([&] {
-        for (const StateKey& key : *probes) sum += map->find(key);
-      });
-      trial.add_work(probes->size());
-      trial.counter("checksum", static_cast<double>(sum & 0xffffff));
-    });
-    reg.add("kernel_flatmap/batched", [map, probes](Trial& trial) {
-      std::vector<std::uint32_t> out(probes->size());
-      std::uint64_t sum = 0;
-      trial.measure([&] {
-        iso::find_batch(*map, probes->data(), probes->size(), out.data());
-        for (const std::uint32_t v : out) sum += v;
-      });
-      trial.add_work(probes->size());
-      trial.counter("checksum", static_cast<double>(sum & 0xffffff));
-    });
-  }
-
-  // kernel_sigindex: one-at-a-time contains() (binary search per probe) vs
-  // the batched membership join (SIMD hash + prefiltered bitmap).
-  {
-    const std::size_t n = corpus.n(400000, 4096);
-    auto index = std::make_shared<iso::SigIndex>();
-    const std::vector<StateKey> keys = random_keys(n, 55);
-    std::vector<std::pair<StateKey, std::uint32_t>> pairs(n);
-    for (std::size_t i = 0; i < n; ++i)
-      pairs[i] = {keys[i], static_cast<std::uint32_t>(i)};
-    index->build(pairs);
-    auto probes =
-        std::make_shared<std::vector<StateKey>>(probe_stream(keys, 56));
-    reg.add("kernel_sigindex/single", [index, probes](Trial& trial) {
-      std::uint64_t hits = 0;
-      trial.measure([&] {
-        for (const StateKey& key : *probes) hits += index->contains(key);
-      });
-      trial.add_work(probes->size());
-      trial.counter("checksum", static_cast<double>(hits));
-    });
-    reg.add("kernel_sigindex/batched", [index, probes](Trial& trial) {
-      const std::size_t m = probes->size();
-      std::unique_ptr<bool[]> out(new bool[m]);
-      std::uint64_t hits = 0;
-      trial.measure([&] {
-        iso::contains_batch(*index, probes->data(), m, out.get());
-        for (std::size_t i = 0; i < m; ++i) hits += out[i];
-      });
-      trial.add_work(m);
-      trial.counter("checksum", static_cast<double>(hits));
-    });
-  }
-
   // kernel_combo: the support-combo enumeration, reference per-field
   // signature rebuilds vs the bit-parallel base+spread kernel. Identical
   // visit sequences (pinned by the kernel differential suite), identical

@@ -5,17 +5,12 @@
 // wall medians are the scaling curve. Each trial additionally re-times its
 // query pinned to one thread and emits
 //   speedup_vs_1t     — 1-thread seconds / sweep-thread seconds
-//                       (self-relative, robust to runner speed),
-// and the schedule/* cases A/B the barrier-free task-graph engine against
-// the reference layer-barrier schedule on one fixed decomposition:
-//   vs_layer_barrier  — layer-barrier seconds / task-graph seconds
-//                       (>= 1 means the task graph is no slower).
+//                       (self-relative, robust to runner speed).
 //
 // Cases:
 //   decision/<family>/<pat>  — Solver::find, parallel engine (slice tasks
 //                              nesting path tasks on the shared pool)
 //   listing/<family>/<pat>   — Solver::list (stopping rule, many covers)
-//   schedule/<family>/<pat>  — solve_parallel task-graph vs layer-barrier
 
 #include <omp.h>
 
@@ -26,9 +21,7 @@
 #include "graph/generators.hpp"
 #include "harness/corpus.hpp"
 #include "harness/harness.hpp"
-#include "isomorphism/parallel_engine.hpp"
 #include "support/timer.hpp"
-#include "treedecomp/greedy_decomposition.hpp"
 
 using namespace ppsi;
 using bench::Corpus;
@@ -90,31 +83,6 @@ void add_listing(Registry& reg, const std::string& name, const Graph& g,
   });
 }
 
-void add_schedule_ab(Registry& reg, const std::string& name, const Graph& g,
-                     const iso::Pattern& pattern) {
-  reg.add("schedule/" + name, [g, pattern](Trial& trial) {
-    const auto td =
-        treedecomp::binarize(treedecomp::greedy_decomposition(g));
-    iso::ParallelOptions barrier;
-    barrier.schedule = iso::ParallelSchedule::kLayerBarrier;
-    double barrier_sec = 0;
-    {
-      support::ScopedTimer timed(barrier_sec);
-      iso::solve_parallel(g, td, pattern, barrier);
-    }
-    iso::ParallelOptions taskgraph;  // default schedule
-    double taskgraph_sec = 0;
-    trial.measure([&] {
-      support::ScopedTimer timed(taskgraph_sec);
-      const iso::DpSolution sol =
-          iso::solve_parallel(g, td, pattern, taskgraph);
-      trial.record(sol.metrics);
-    });
-    trial.counter("vs_layer_barrier",
-                  barrier_sec / std::max(taskgraph_sec, 1e-12));
-  });
-}
-
 void register_benchmarks(Registry& reg, const Corpus& corpus) {
   const iso::Pattern c4 = iso::Pattern::from_graph(gen::cycle_graph(4));
   const iso::Pattern c6 = iso::Pattern::from_graph(gen::cycle_graph(6));
@@ -126,10 +94,6 @@ void register_benchmarks(Registry& reg, const Corpus& corpus) {
   add_decision(reg, "apollonian/C4", apo, c4);
 
   add_listing(reg, "grid/C4", corpus.grid(30, 30), c4);
-
-  add_schedule_ab(reg, "grid/C4", corpus.grid(40, 40), c4);
-  add_schedule_ab(reg, "apollonian/C4", corpus.apollonian(1200, 5).graph(),
-                  c4);
 }
 
 }  // namespace

@@ -90,20 +90,12 @@ class Trial {
   void measure(const std::function<void()>& body);
 
   /// Records instrumented work/rounds for this trial (adds across calls;
-  /// allocation events add, scratch peaks max-merge). Placement
-  /// attestations carried by the metrics (which SIMD kernel ran, which
-  /// NUMA node the scratch arena grew on) surface as `simd_variant` /
-  /// `numa_node` counters when set, so stats blocks attest the kernel
-  /// without a schema change.
+  /// allocation events add, scratch peaks max-merge).
   void record(const support::Metrics& m) {
     work_ += m.work();
     rounds_ += m.rounds();
     allocs_ += m.allocs();
     scratch_peak_ = std::max(scratch_peak_, m.scratch_peak_bytes());
-    if (m.simd_variant() >= 0)
-      counter("simd_variant", static_cast<double>(m.simd_variant()));
-    if (m.numa_node() >= 0)
-      counter("numa_node", static_cast<double>(m.numa_node()));
   }
   void add_work(std::uint64_t w) { work_ += w; }
   void add_rounds(std::uint64_t r) { rounds_ += r; }

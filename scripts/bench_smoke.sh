@@ -13,10 +13,9 @@
 # suite's sweep), BUILD_DIR (build).
 set -euo pipefail
 
-# Pin OMP threads to cores (close packing) so thread placement — and with
-# it first-touch NUMA placement of the per-thread scratch arenas — is
-# stable across runs; unpinned runs let the kernel migrate threads
-# mid-trial and add wall-clock noise. Export OMP_PROC_BIND/OMP_PLACES
+# Pin OMP threads to cores (close packing) so thread placement is stable
+# across runs; unpinned runs let the kernel migrate threads mid-trial and
+# add wall-clock noise. Export OMP_PROC_BIND/OMP_PLACES
 # before invoking to override (e.g. OMP_PROC_BIND=spread for a
 # cross-socket sweep).
 export OMP_PROC_BIND="${OMP_PROC_BIND:-close}"

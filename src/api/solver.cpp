@@ -26,11 +26,9 @@
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
-#include "isomorphism/dp_scratch.hpp"
 #include "isomorphism/sparse_dp.hpp"
 #include "planar/face_vertex_graph.hpp"
 #include "support/fault.hpp"
-#include "support/simd.hpp"
 #include "support/rng.hpp"
 #include "support/scheduler.hpp"
 #include "support/timer.hpp"
@@ -1712,12 +1710,6 @@ CacheStats Solver::cache_stats() const {
     const std::lock_guard<std::mutex> lock(snap->fvg_mutex);
     if (snap->fvg_solver) add_sub_stats(&stats, snap->fvg_solver->cache_stats());
   }
-  // Attestations, not counters (add_sub_stats leaves them alone): which
-  // SIMD kernel this process dispatches to, and where the *calling*
-  // thread's DP scratch arena landed (first-touch node at first growth).
-  stats.simd_variant =
-      static_cast<std::int64_t>(support::simd::active_variant());
-  stats.arena_numa_node = iso::detail::DpScratch::local().arena.numa_node();
   return stats;
 }
 

@@ -149,16 +149,6 @@ struct CacheStats {
   std::uint64_t slices_reused = 0;
   /// Cover entries of dead (fully drained) versions dropped by the sweep.
   std::uint64_t stale_covers_purged = 0;
-
-  // Kernel/placement attestations (not counters; reset does not apply).
-  /// SIMD variant the DP kernels dispatch to in this process
-  /// (support::simd::Variant as int: 0 scalar, 1 sse2, 2 avx2, 3 neon).
-  std::int64_t simd_variant = -1;
-  /// NUMA node of the calling thread's DP scratch arena (first-touch
-  /// attribution; -1 when that arena never grew or the platform cannot
-  /// tell). Attests placement for the thread reading the stats, not a
-  /// global property of the pool.
-  std::int64_t arena_numa_node = -1;
 };
 
 class Solver {

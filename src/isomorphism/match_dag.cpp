@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "isomorphism/dp_scratch.hpp"
-#include "isomorphism/group_probe.hpp"
 #include "treepath/tree_paths.hpp"
 
 namespace ppsi::iso {
@@ -142,50 +141,29 @@ PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
         }
       }
       scratch.arena.settle(pi_bytes, pi_map.capacity_bytes());
-      // Heavy edges pi -> parent candidate, gated by the side child.
-      // Combos buffer (sigL, sigR, target vertex) across hi-states and are
-      // hashed (SIMD), prefetched, and probed in groups (group_probe.hpp);
-      // the FIFO buffer keeps edge emission in the exact chronological
-      // combo order of the one-at-a-time loop (the stable counting sort
-      // below depends on it), and the per-combo work tick is accounted at
-      // flush time, so totals stay bit-identical.
+      // Heavy edges pi -> parent candidate, gated by the side child. Edges
+      // are emitted in combo enumeration order (the stable counting sort
+      // below depends on it); every combo ticks one unit of work.
       const SolvedNode* side_solved =
           hi.has_side ? &solution.nodes[hi.side] : nullptr;
       const detail::ChildLink side_link{hi.has_side, hi.side_shared};
       const detail::ChildLink path_link{true, hi.path_shared};
-      StateKey batch_l[kProbeBatch];
-      StateKey batch_r[kProbeBatch];
-      std::uint32_t batch_to[kProbeBatch];
-      std::size_t batch_n = 0;
-      const auto flush_heavy = [&] {
-        if (batch_n == 0) return;
-        work += batch_n;
-        bool side_ok[kProbeBatch] = {};
-        std::uint32_t pi_ids[kProbeBatch];
-        if (side_solved != nullptr)
-          contains_batch(side_solved->sig_groups, batch_l, batch_n, side_ok);
-        find_batch(pi_map, batch_r, batch_n, pi_ids);
-        for (std::size_t b = 0; b < batch_n; ++b) {
-          if (side_solved != nullptr && !side_ok[b]) continue;
-          if (pi_ids[b] != support::kFlatNotFound) {
-            edges.emplace_back(pi_ids[b], batch_to[b]);
-            ++stats.dag_edges;
-          }
-        }
-        batch_n = 0;
-      };
       for (std::uint32_t i = 0; i < hi.num_states; ++i) {
         detail::for_each_support_combo(
             codec, hi_ctx, hi.states[i], side_link, path_link, sep,
             [&](const StateKey* sl, const StateKey* sr) {
-              if (sl != nullptr) batch_l[batch_n] = *sl;
-              batch_r[batch_n] = *sr;
-              batch_to[batch_n] = hi.base + i;
-              if (++batch_n == kProbeBatch) flush_heavy();
+              ++work;
+              if (side_solved != nullptr &&
+                  !side_solved->sig_groups.contains(*sl))
+                return false;
+              const std::uint32_t pi_id = pi_map.find(*sr);
+              if (pi_id != support::kFlatNotFound) {
+                edges.emplace_back(pi_id, hi.base + i);
+                ++stats.dag_edges;
+              }
               return false;  // enumerate every combo
             });
       }
-      flush_heavy();
     }
     // Translation edges also participate in the BFS directly.
     for (std::uint32_t v = 0; v < num_state_vertices; ++v) {
@@ -319,9 +297,6 @@ PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
   solution.metrics.add_work(work);
   solution.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);
   solution.metrics.note_scratch_peak(scratch.arena.peak_bytes());
-  solution.metrics.note_simd_variant(
-      static_cast<std::int64_t>(support::simd::active_variant()));
-  solution.metrics.note_numa_node(scratch.arena.numa_node());
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #include "isomorphism/parallel_engine.hpp"
 
 #include <algorithm>
-#include <omp.h>
 
 #include "support/fault.hpp"
 #include "support/parallel.hpp"
@@ -11,11 +10,11 @@
 namespace ppsi::iso {
 namespace {
 
-/// Task-graph schedule: one task per path; a path's ready-counter is its
-/// number of child paths (paths whose top node's tree parent lies in it),
-/// so it starts the moment its own children finish — the slowest path of a
-/// layer no longer holds back unrelated paths of the next. Task ids equal
-/// path ids, so per-path stats land in pre-sized slots.
+/// One task per path; a path's ready-counter is its number of child paths
+/// (paths whose top node's tree parent lies in it), so it starts the moment
+/// its own children finish — the slowest path of a layer never holds back
+/// unrelated paths of the next. Task ids equal path ids, so per-path stats
+/// land in pre-sized slots.
 void run_paths_task_graph(const Graph& g,
                           const treedecomp::TreeDecomposition& td,
                           const Pattern& pattern,
@@ -41,38 +40,6 @@ void run_paths_task_graph(const Graph& g,
       graph.add_edge(pi, paths.path_of[parent]);
   }
   support::Scheduler::run(graph);
-}
-
-/// Reference schedule: all paths of a layer in parallel, full barrier
-/// between layers (the pre-scheduler engine, kept for A/B benchmarking;
-/// results and instrumented counts are bit-identical to the task graph).
-void run_paths_layer_barrier(const Graph& g,
-                             const treedecomp::TreeDecomposition& td,
-                             const Pattern& pattern,
-                             const std::vector<BagContext>& ctxs,
-                             const treepath::PathDecomposition& paths,
-                             const PathSolveConfig& config, DpSolution& sol,
-                             std::vector<PathStats>& per_path) {
-  // Same containment as parallel_for: an exception escaping the omp region
-  // would terminate, so trap the first failure and rethrow after the join.
-  support::detail::RegionTrap trap;
-  for (std::uint32_t layer = 0; layer < paths.num_layers; ++layer) {
-    const std::uint32_t begin = paths.layer_path_offsets[layer];
-    const std::uint32_t end = paths.layer_path_offsets[layer + 1];
-#pragma omp parallel for schedule(dynamic)
-    for (std::uint32_t pi = begin; pi < end; ++pi) {
-      if (!trap.failed()) {
-        try {
-          PPSI_FAULT_POINT("engine.path");
-          per_path[pi] =
-              solve_path(g, td, pattern, ctxs, paths.paths[pi], config, sol);
-        } catch (...) {
-          trap.capture();
-        }
-      }
-    }
-    trap.rethrow();
-  }
 }
 
 }  // namespace
@@ -117,16 +84,11 @@ DpSolution solve_parallel(const Graph& g,
   // One per-solve stats array indexed by path id (hoisted out of the old
   // per-layer loop); tasks write disjoint slots.
   std::vector<PathStats> per_path(paths.paths.size());
-  if (options.schedule == ParallelSchedule::kTaskGraph) {
-    run_paths_task_graph(g, td, pattern, ctxs, paths, config, options.cancel,
-                         sol, per_path);
-  } else {
-    run_paths_layer_barrier(g, td, pattern, ctxs, paths, config, sol,
-                            per_path);
-  }
+  run_paths_task_graph(g, td, pattern, ctxs, paths, config, options.cancel,
+                       sol, per_path);
 
   // Canonical-order fold: identical arithmetic to the old per-layer loop,
-  // independent of the schedule that produced per_path. The critical path
+  // independent of the order the path tasks ran in. The critical path
   // of a layer is its slowest path; layers compose sequentially.
   for (std::uint32_t layer = 0; layer < paths.num_layers; ++layer) {
     const std::uint32_t begin = paths.layer_path_offsets[layer];

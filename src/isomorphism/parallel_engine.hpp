@@ -10,23 +10,15 @@
 // whose ready-counter is its number of child paths, so a path starts the
 // moment its own children finish — no barrier at layer boundaries, and the
 // tasks interleave with other slices' paths on the one shared OMP team.
-// The pre-scheduler per-layer `parallel_for` loop is kept behind
-// ParallelSchedule::kLayerBarrier for A/B benchmarking and differential
-// pinning: both schedules produce bit-identical solutions and instrumented
-// work/round counts for every thread count (per-path metric deltas are
-// folded in canonical layer order after the join).
+// Solutions and instrumented work/round counts are bit-identical for every
+// thread count (per-path metric deltas are folded in canonical layer order
+// after the join).
 
 #include "isomorphism/match_dag.hpp"
 #include "isomorphism/sequential_dp.hpp"
 #include "support/scheduler.hpp"
 
 namespace ppsi::iso {
-
-/// How solve_parallel runs the paths of the decomposition.
-enum class ParallelSchedule {
-  kTaskGraph,     ///< dependency-driven tasks, no layer barrier (default)
-  kLayerBarrier,  ///< reference: layers in order, full barrier between
-};
 
 struct ParallelOptions {
   SeparatingSpec spec;       ///< separating configuration
@@ -36,12 +28,11 @@ struct ParallelOptions {
   /// Decision-only: free solved nodes as soon as their parent consumed
   /// them (see DpOptions::release_interior).
   bool release_interior = false;
-  ParallelSchedule schedule = ParallelSchedule::kTaskGraph;
-  /// Cooperative cancellation (task-graph schedule only): once the scope
-  /// reports cancelled, remaining path tasks skip themselves. A cancelled
-  /// solve returns early with a partial solution whose outputs and metrics
-  /// MUST be discarded by the caller (api/solver.cpp's deterministic replay
-  /// never reads cancelled slices).
+  /// Cooperative cancellation: once the scope reports cancelled, remaining
+  /// path tasks skip themselves. A cancelled solve returns early with a
+  /// partial solution whose outputs and metrics MUST be discarded by the
+  /// caller (api/solver.cpp's deterministic replay never reads cancelled
+  /// slices).
   support::CancelScope cancel;
 };
 

@@ -8,9 +8,7 @@
 #include <span>
 
 #include "isomorphism/dp_scratch.hpp"
-#include "isomorphism/group_probe.hpp"
 #include "support/fault.hpp"
-#include "support/simd.hpp"
 
 namespace ppsi::iso {
 
@@ -72,24 +70,22 @@ void solve_node_exact(const Graph&, const treedecomp::TreeDecomposition& td,
   std::vector<StateKey>& survivors = scratch.exact_states;
   const std::size_t bytes_before = support::ScratchArena::bytes_of(survivors);
   survivors.clear();
-  // Combos are buffered into a ComboProber so their child signatures hash
-  // (SIMD), prefetch, and probe in groups; the prober reproduces the
-  // one-at-a-time work ticks and early-exit of the direct sig_present
-  // check (group_probe.hpp).
-  const SigIndex* left_sigs =
-      env.left_node != nullptr ? &env.left_node->sig_groups : nullptr;
-  const SigIndex* right_sigs =
-      env.right_node != nullptr ? &env.right_node->sig_groups : nullptr;
+  // A combo is supported when each present child solved its signature;
+  // every visited combo ticks one unit of work, and the first supported
+  // one ends the enumeration.
+  const auto sig_present = [](const SolvedNode* child, const StateKey* sig) {
+    return child == nullptr || child->sig_groups.contains(*sig);
+  };
   enumerate_local_states(
       pattern, node.ctx, codec, separating, [&](StateKey key) {
         if (work != nullptr) ++*work;
-        ComboProber prober(left_sigs, right_sigs, work);
-        bool supported = for_each_support_combo(
+        const bool supported = for_each_support_combo(
             codec, node.ctx, key, env.left, env.right, separating,
             [&](const StateKey* sl, const StateKey* sr) {
-              return prober.add(sl, sr);
+              if (work != nullptr) ++*work;
+              return sig_present(env.left_node, sl) &&
+                     sig_present(env.right_node, sr);
             });
-        if (!supported) supported = prober.flush();
         if (supported) survivors.push_back(key);
       });
   scratch.arena.settle(bytes_before,
@@ -169,9 +165,6 @@ DpSolution solve_sequential(const Graph& g,
   sol.metrics.add_work(work);
   sol.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);
   sol.metrics.note_scratch_peak(scratch.arena.peak_bytes());
-  sol.metrics.note_simd_variant(
-      static_cast<std::int64_t>(support::simd::active_variant()));
-  sol.metrics.note_numa_node(scratch.arena.numa_node());
   if (preempted) return sol;  // partial; accepted stays false
 
   const SolvedNode& root = sol.nodes[td.root];

@@ -14,7 +14,7 @@
 //   offsets  – offsets[i]..offsets[i+1] delimit group i in `indices`
 //   indices  – state indices, ascending within each group
 //
-// Lookup is a branchless-friendly binary search over `sigs`; iteration is
+// Lookup (contains, group) is a binary search over `sigs`; iteration is
 // deterministic (sorted), which removes the hash-map-order dependence the
 // sparse engine previously inherited. Group contents are identical to the
 // map version: `build` sorts (sig, state) pairs by (sig, state), so each
@@ -34,10 +34,7 @@ namespace ppsi::iso {
 class SigIndex {
  public:
   /// Builds from (signature, state index) pairs; sorts `pairs` in place.
-  /// Storage is exact: one allocation per array, no growth. Also builds a
-  /// hash-bitmap prefilter (~4 bits per distinct signature, power-of-two
-  /// sized) so the batched probe layer rejects most absent signatures with
-  /// one bit test instead of a binary search.
+  /// Storage is exact: one allocation per array, no growth.
   void build(std::vector<std::pair<StateKey, std::uint32_t>>& pairs) {
     clear();
     std::sort(pairs.begin(), pairs.end());
@@ -55,22 +52,12 @@ class SigIndex {
       indices_.push_back(idx);
     }
     offsets_.push_back(static_cast<std::uint32_t>(indices_.size()));
-    std::size_t filter_bits = 64;
-    while (filter_bits < 4 * distinct) filter_bits <<= 1;
-    filter_.assign(filter_bits / 64, 0);
-    filter_mask_ = filter_bits - 1;
-    for (const StateKey& sig : sigs_) {
-      const std::size_t bit = StateKeyHash{}(sig) & filter_mask_;
-      filter_[bit / 64] |= 1ULL << (bit % 64);
-    }
   }
 
   void clear() {
     sigs_.clear();
     offsets_.clear();
     indices_.clear();
-    filter_.clear();
-    filter_mask_ = 0;
   }
 
   /// Drops the storage entirely (decision-only queries release solved
@@ -79,31 +66,9 @@ class SigIndex {
     std::vector<StateKey>().swap(sigs_);
     std::vector<std::uint32_t>().swap(offsets_);
     std::vector<std::uint32_t>().swap(indices_);
-    std::vector<std::uint64_t>().swap(filter_);
-    filter_mask_ = 0;
   }
 
-  bool contains(const StateKey& sig) const {
-    return contains_hashed(sig, StateKeyHash{}(sig));
-  }
-
-  /// contains() with the hash supplied by the caller (the batched probe
-  /// layer hashes key groups with the SIMD kernels). `hash` must equal
-  /// StateKeyHash{}(sig); the result is identical to contains().
-  bool contains_hashed(const StateKey& sig, std::size_t hash) const {
-    if (filter_.empty()) return false;
-    const std::size_t bit = hash & filter_mask_;
-    if ((filter_[bit / 64] >> (bit % 64) & 1ULL) == 0) return false;
-    return slot_of(sig) >= 0;
-  }
-
-  /// Prefetches the prefilter word of a signature hashing to `hash`.
-  void prefetch_hashed(std::size_t hash) const {
-    if (filter_.empty()) return;
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&filter_[(hash & filter_mask_) / 64], 0, 1);
-#endif
-  }
+  bool contains(const StateKey& sig) const { return slot_of(sig) >= 0; }
 
   /// State indices projecting to `sig` (empty when absent; groups of
   /// present signatures are never empty).
@@ -133,9 +98,6 @@ class SigIndex {
   std::vector<StateKey> sigs_;
   std::vector<std::uint32_t> offsets_;
   std::vector<std::uint32_t> indices_;
-  /// Hash-bitmap prefilter over `sigs_` (see build()).
-  std::vector<std::uint64_t> filter_;
-  std::size_t filter_mask_ = 0;
 };
 
 }  // namespace ppsi::iso

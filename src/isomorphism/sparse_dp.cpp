@@ -5,7 +5,6 @@
 
 #include "isomorphism/dp_scratch.hpp"
 #include "support/fault.hpp"
-#include "support/simd.hpp"
 
 namespace ppsi::iso {
 namespace {
@@ -324,9 +323,6 @@ DpSolution solve_sparse(const Graph& g,
   sol.metrics.add_work(work);
   sol.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);
   sol.metrics.note_scratch_peak(scratch.arena.peak_bytes());
-  sol.metrics.note_simd_variant(
-      static_cast<std::int64_t>(support::simd::active_variant()));
-  sol.metrics.note_numa_node(scratch.arena.numa_node());
   if (preempted) return sol;  // partial; accepted stays false
 
   const SolvedNode& root = sol.nodes[td.root];

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "support/fault.hpp"
-#include "support/numa.hpp"
 
 namespace ppsi::support {
 
@@ -82,7 +81,6 @@ class ScratchArena {
   /// bytes (no-op when it did not grow; buffers never shrink).
   void settle(std::size_t before, std::size_t after) {
     if (after <= before) return;
-    if (numa_node_ == kNumaUnrecorded) numa_node_ = numa::current_node();
     ++alloc_events_;
     footprint_ += after - before;
     if (footprint_ > peak_bytes_) peak_bytes_ = footprint_;
@@ -96,22 +94,11 @@ class ScratchArena {
   std::uint64_t footprint_bytes() const { return footprint_; }
   /// High-water mark of footprint_bytes().
   std::uint64_t peak_bytes() const { return peak_bytes_; }
-  /// NUMA node the arena's buffers first grew on, or -1 when the arena
-  /// never grew (or the platform cannot tell). Scratch holders are
-  /// thread_local and pages land by first touch, so the node observed at
-  /// the first growth is where the arena's memory lives — and stays, when
-  /// workers are pinned (PPSI_NUMA=ON / OMP_PROC_BIND).
-  int numa_node() const {
-    return numa_node_ == kNumaUnrecorded ? -1 : numa_node_;
-  }
 
  private:
-  static constexpr int kNumaUnrecorded = -2;
-
   std::uint64_t alloc_events_ = 0;
   std::uint64_t footprint_ = 0;
   std::uint64_t peak_bytes_ = 0;
-  int numa_node_ = kNumaUnrecorded;
 };
 
 }  // namespace ppsi::support

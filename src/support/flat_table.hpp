@@ -64,34 +64,15 @@ class FlatMap {
 
   /// Index of `key`, or kFlatNotFound.
   std::uint32_t find(const Key& key) const {
-    return find_hashed(key, Hasher{}(key));
-  }
-
-  /// find() with the hash supplied by the caller — the batched probe layer
-  /// (isomorphism/group_probe.hpp) hashes whole key groups with the SIMD
-  /// kernels, prefetches every home bucket, then probes. `hash` must equal
-  /// Hasher{}(key); the probe sequence (and thus the result) is identical
-  /// to find().
-  std::uint32_t find_hashed(const Key& key, std::size_t hash) const {
     if (buckets_.empty()) return kFlatNotFound;
     const std::size_t mask = buckets_.size() - 1;
-    std::size_t i = hash & mask;
+    std::size_t i = Hasher{}(key) & mask;
     while (true) {
       const Bucket& b = buckets_[i];
       if (b.value == kFlatNotFound) return kFlatNotFound;
       if (b.key == key) return b.value;
       i = (i + 1) & mask;
     }
-  }
-
-  /// Prefetches the home bucket of a key hashing to `hash` so a subsequent
-  /// find_hashed hits cache. No-op on an empty table or a toolchain
-  /// without __builtin_prefetch.
-  void prefetch_hashed(std::size_t hash) const {
-    if (buckets_.empty()) return;
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&buckets_[hash & (buckets_.size() - 1)], 0, 1);
-#endif
   }
 
   bool contains(const Key& key) const { return find(key) != kFlatNotFound; }

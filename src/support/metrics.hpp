@@ -37,17 +37,13 @@ class Metrics {
       : work_(other.work()),
         rounds_(other.rounds()),
         allocs_(other.allocs()),
-        scratch_peak_(other.scratch_peak_bytes()),
-        simd_variant_(other.simd_variant()),
-        numa_node_(other.numa_node()) {}
+        scratch_peak_(other.scratch_peak_bytes()) {}
   Metrics& operator=(const Metrics& other) {
     work_.store(other.work(), std::memory_order_relaxed);
     rounds_.store(other.rounds(), std::memory_order_relaxed);
     allocs_.store(other.allocs(), std::memory_order_relaxed);
     scratch_peak_.store(other.scratch_peak_bytes(),
                         std::memory_order_relaxed);
-    simd_variant_.store(other.simd_variant(), std::memory_order_relaxed);
-    numa_node_.store(other.numa_node(), std::memory_order_relaxed);
     return *this;
   }
 
@@ -64,17 +60,6 @@ class Metrics {
   void note_scratch_peak(std::uint64_t bytes) {
     fetch_max(scratch_peak_, bytes);
   }
-  /// Placement attestations (-1 = unset): which SIMD kernel variant the
-  /// run dispatched to (support::simd::Variant as int) and which NUMA node
-  /// the reporting thread's scratch arena first grew on. These describe
-  /// *where/how* the work ran, not how much — they never affect the work
-  /// contract and are emitted as optional counters in bench records.
-  void note_simd_variant(std::int64_t variant) {
-    simd_variant_.store(variant, std::memory_order_relaxed);
-  }
-  void note_numa_node(std::int64_t node) {
-    numa_node_.store(node, std::memory_order_relaxed);
-  }
   /// Records a sub-computation: its work adds, its rounds add (sequential
   /// composition of parallel phases). Allocation events add; scratch peaks
   /// max-merge (per-thread arenas are reused, not stacked).
@@ -83,7 +68,6 @@ class Metrics {
     add_rounds(sub.rounds());
     add_allocs(sub.allocs());
     note_scratch_peak(sub.scratch_peak_bytes());
-    absorb_attestations(sub);
   }
   /// Records parallel composition: work adds, rounds take the maximum.
   void absorb_parallel(const Metrics& sub) {
@@ -91,7 +75,6 @@ class Metrics {
     fetch_max(rounds_, sub.rounds());
     add_allocs(sub.allocs());
     note_scratch_peak(sub.scratch_peak_bytes());
-    absorb_attestations(sub);
   }
 
   std::uint64_t work() const { return work_.load(std::memory_order_relaxed); }
@@ -104,19 +87,11 @@ class Metrics {
   std::uint64_t scratch_peak_bytes() const {
     return scratch_peak_.load(std::memory_order_relaxed);
   }
-  std::int64_t simd_variant() const {
-    return simd_variant_.load(std::memory_order_relaxed);
-  }
-  std::int64_t numa_node() const {
-    return numa_node_.load(std::memory_order_relaxed);
-  }
   void reset() {
     work_.store(0, std::memory_order_relaxed);
     rounds_.store(0, std::memory_order_relaxed);
     allocs_.store(0, std::memory_order_relaxed);
     scratch_peak_.store(0, std::memory_order_relaxed);
-    simd_variant_.store(-1, std::memory_order_relaxed);
-    numa_node_.store(-1, std::memory_order_relaxed);
   }
 
  private:
@@ -129,19 +104,10 @@ class Metrics {
     }
   }
 
-  /// A sub-computation's attestations win when set (-1 means "never
-  /// recorded"); absorbing keeps the most recent concrete value.
-  void absorb_attestations(const Metrics& sub) {
-    if (sub.simd_variant() >= 0) note_simd_variant(sub.simd_variant());
-    if (sub.numa_node() >= 0) note_numa_node(sub.numa_node());
-  }
-
   std::atomic<std::uint64_t> work_{0};
   std::atomic<std::uint64_t> rounds_{0};
   std::atomic<std::uint64_t> allocs_{0};
   std::atomic<std::uint64_t> scratch_peak_{0};
-  std::atomic<std::int64_t> simd_variant_{-1};
-  std::atomic<std::int64_t> numa_node_{-1};
 };
 
 }  // namespace ppsi::support

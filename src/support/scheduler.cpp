@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "support/fault.hpp"
-#include "support/numa.hpp"
 #include "support/types.hpp"
 
 namespace ppsi::support {
@@ -245,7 +244,7 @@ class ServingPool {
         const std::size_t n = thread_count();
         threads_.reserve(n);
         for (std::size_t i = 0; i < n; ++i)
-          threads_.emplace_back([this, i] { worker_loop(i); });
+          threads_.emplace_back([this] { worker_loop(); });
       }
     }
     ready_.notify_one();
@@ -270,14 +269,7 @@ class ServingPool {
     std::function<void()> job;
   };
 
-  void worker_loop(std::size_t index) {
-    // Opt-in explicit NUMA placement (PPSI_NUMA=ON): workers pin
-    // round-robin across the online nodes before touching any scratch, so
-    // their thread_local arenas first-touch — and stay — on the bound
-    // node. Off (the default) or on single-node hosts this is a no-op and
-    // placement falls back to plain first-touch.
-    if (numa::enabled() && numa::num_nodes() > 1)
-      numa::bind_current_thread(numa::preferred_node_for_worker(index));
+  void worker_loop() {
     for (;;) {
       std::function<void()> job;
       {

@@ -1,9 +1,7 @@
-// Differential test of the bit-parallel DP kernels: every SIMD hash
-// variant, the bit-parallel state decode, the PositionMap projections, the
-// base+spread support-combo enumeration, and the batched FlatMap/SigIndex
-// probes must be bit-identical to their scalar / per-field references —
-// and forcing any supported SIMD variant must leave engine results AND
-// instrumented work counters unchanged (the standing work contract).
+// Differential test of the bit-parallel DP kernels: the bit-parallel state
+// decode, the PositionMap projections and the base+spread support-combo
+// enumeration must be bit-identical to their per-field references. The
+// engines' instrumented work is pinned by tests/test_golden_work.cpp.
 
 #include <gtest/gtest.h>
 
@@ -16,83 +14,15 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "isomorphism/group_probe.hpp"
 #include "isomorphism/pattern.hpp"
 #include "isomorphism/sequential_dp.hpp"
-#include "isomorphism/sig_index.hpp"
-#include "isomorphism/sparse_dp.hpp"
 #include "isomorphism/state_enumeration.hpp"
-#include "support/flat_table.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "testing/random_inputs.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
 namespace ppsi::iso {
 namespace {
-
-namespace simd = support::simd;
-
-constexpr simd::Variant kAllVariants[] = {
-    simd::Variant::kScalar, simd::Variant::kSse2, simd::Variant::kAvx2,
-    simd::Variant::kNeon};
-
-/// Restores the default dispatch when a test forced a variant.
-struct ForcedVariantGuard {
-  ~ForcedVariantGuard() { simd::clear_forced_variant(); }
-};
-
-std::vector<StateKey> random_keys(std::size_t n, std::uint64_t seed) {
-  support::Rng rng(seed, /*stream=*/0x6b657973);
-  std::vector<StateKey> keys(n);
-  for (StateKey& k : keys) {
-    k.code = rng.next_u64();
-    k.sep = rng.next_u64();
-  }
-  return keys;
-}
-
-// ---- Hash kernel ----
-
-// Every supported variant must produce the scalar reference hashes, at
-// every batch length (tail handling included), and the scalar reference
-// must equal StateKeyHash — the hash the tables were built with.
-TEST(KernelHash, AllSupportedVariantsMatchScalar) {
-  for (const std::size_t n :
-       {0ul, 1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 15ul, 16ul, 17ul, 1000ul}) {
-    const std::vector<StateKey> keys = random_keys(n, 100 + n);
-    const auto* pairs = reinterpret_cast<const std::uint64_t*>(keys.data());
-    std::vector<std::uint64_t> ref(n), got(n);
-    simd::hash_pairs_scalar(pairs, n, ref.data());
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(ref[i], StateKeyHash{}(keys[i])) << "n=" << n << " i=" << i;
-    for (const simd::Variant v : kAllVariants) {
-      if (!simd::variant_supported(v)) continue;
-      simd::hash_pairs_with(v, pairs, n, got.data());
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(ref[i], got[i])
-            << "variant " << simd::variant_name(v) << " n=" << n
-            << " i=" << i;
-    }
-  }
-}
-
-TEST(KernelHash, ForcedVariantControlsDispatch) {
-  ForcedVariantGuard guard;
-  ASSERT_TRUE(simd::variant_supported(simd::Variant::kScalar));
-  for (const simd::Variant v : kAllVariants) {
-    simd::force_variant(v);
-    if (simd::variant_supported(v)) {
-      EXPECT_EQ(simd::active_variant(), v) << simd::variant_name(v);
-    } else {
-      // Unsupported forced variants degrade to scalar rather than crash.
-      EXPECT_EQ(simd::active_variant(), simd::Variant::kScalar)
-          << simd::variant_name(v);
-    }
-  }
-  simd::clear_forced_variant();
-  EXPECT_TRUE(simd::variant_supported(simd::detected_variant()));
-}
 
 // ---- Bit-parallel state decode ----
 
@@ -272,154 +202,6 @@ TEST(KernelCombos, BitParallelVisitsIdenticalSequence) {
     }
   }
 }
-
-// ---- Batched probes ----
-
-class BatchedProbes : public ::testing::TestWithParam<int> {};
-
-TEST_P(BatchedProbes, FlatMapFindBatchMatchesSingleFinds) {
-  ForcedVariantGuard guard;
-  const std::uint64_t seed = GetParam();
-  support::Rng rng(seed, /*stream=*/0xf1a7);
-  for (const std::size_t n : {0ul, 1ul, 7ul, 16ul, 33ul, 500ul}) {
-    support::FlatMap<StateKey, StateKeyHash> map;
-    const std::vector<StateKey> keys = random_keys(n, seed * 13 + n);
-    map.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      map.emplace(keys[i], static_cast<std::uint32_t>(i));
-    // Mixed hit/miss probe stream, deliberately longer than one batch.
-    std::vector<StateKey> probes(2 * n + 5);
-    for (StateKey& p : probes) {
-      if (n != 0 && rng.next_below(2) == 0) {
-        p = keys[rng.next_below(n)];
-      } else {
-        p = {rng.next_u64(), rng.next_u64()};
-      }
-    }
-    std::vector<std::uint32_t> out(probes.size());
-    for (const simd::Variant v : kAllVariants) {
-      if (!simd::variant_supported(v)) continue;
-      simd::force_variant(v);
-      find_batch(map, probes.data(), probes.size(), out.data());
-      for (std::size_t i = 0; i < probes.size(); ++i)
-        ASSERT_EQ(out[i], map.find(probes[i]))
-            << "variant " << simd::variant_name(v) << " n=" << n
-            << " i=" << i;
-    }
-  }
-}
-
-TEST_P(BatchedProbes, SigIndexContainsBatchMatchesSingleContains) {
-  ForcedVariantGuard guard;
-  const std::uint64_t seed = GetParam();
-  support::Rng rng(seed, /*stream=*/0x5161);
-  for (const std::size_t n : {0ul, 1ul, 7ul, 16ul, 33ul, 500ul}) {
-    SigIndex index;
-    const std::vector<StateKey> keys = random_keys(n, seed * 29 + n);
-    if (n != 0) {
-      // Repeat some signatures so groups have width, like real sig groups.
-      std::vector<std::pair<StateKey, std::uint32_t>> pairs;
-      for (std::size_t i = 0; i < n; ++i) {
-        pairs.push_back({keys[i], static_cast<std::uint32_t>(i)});
-        if (rng.next_below(3) == 0)
-          pairs.push_back({keys[i], static_cast<std::uint32_t>(i + n)});
-      }
-      index.build(pairs);
-    }
-    std::vector<StateKey> probes(2 * n + 5);
-    for (StateKey& p : probes) {
-      if (n != 0 && rng.next_below(2) == 0) {
-        p = keys[rng.next_below(n)];
-      } else {
-        p = {rng.next_u64(), rng.next_u64()};
-      }
-    }
-    std::vector<char> out(probes.size());
-    for (const simd::Variant v : kAllVariants) {
-      if (!simd::variant_supported(v)) continue;
-      simd::force_variant(v);
-      contains_batch(index, probes.data(), probes.size(),
-                     reinterpret_cast<bool*>(out.data()));
-      for (std::size_t i = 0; i < probes.size(); ++i)
-        ASSERT_EQ(static_cast<bool>(out[i]), index.contains(probes[i]))
-            << "variant " << simd::variant_name(v) << " n=" << n
-            << " i=" << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchedProbes, ::testing::Range(0, 10));
-
-// ---- Whole-engine invariance across forced variants ----
-
-struct EngineRun {
-  bool accepted = false;
-  std::vector<std::vector<StateKey>> states;
-  std::uint64_t work = 0;
-
-  static EngineRun sequential(const Graph& g,
-                              const treedecomp::TreeDecomposition& td,
-                              const Pattern& pattern,
-                              const DpOptions& options) {
-    const DpSolution sol = solve_sequential(g, td, pattern, options);
-    EngineRun run;
-    run.accepted = sol.accepted;
-    run.work = sol.metrics.work();
-    for (const SolvedNode& node : sol.nodes) run.states.push_back(node.states);
-    return run;
-  }
-
-  static EngineRun sparse(const Graph& g,
-                          const treedecomp::TreeDecomposition& td,
-                          const Pattern& pattern, const DpOptions& options) {
-    const DpSolution sol = solve_sparse(g, td, pattern, options);
-    EngineRun run;
-    run.accepted = sol.accepted;
-    run.work = sol.metrics.work();
-    for (const SolvedNode& node : sol.nodes) run.states.push_back(node.states);
-    return run;
-  }
-};
-
-// The standing contract of the tentpole: switching SIMD variants (and with
-// them the batched probe hashing) changes neither results, nor per-node
-// state sequences, nor the instrumented work counters — bit-identical
-// work across kernel variants.
-class VariantInvariance : public ::testing::TestWithParam<int> {};
-
-TEST_P(VariantInvariance, EngineResultsAndWorkIdenticalAcrossVariants) {
-  ForcedVariantGuard guard;
-  const std::uint64_t seed = GetParam();
-  const Graph g = testing::random_target(seed);
-  const Pattern pattern = testing::random_pattern(seed);
-  const auto td = treedecomp::binarize(treedecomp::greedy_decomposition(g));
-
-  simd::force_variant(simd::Variant::kScalar);
-  const EngineRun seq_ref = EngineRun::sequential(g, td, pattern, {});
-  const EngineRun sparse_ref = EngineRun::sparse(g, td, pattern, {});
-
-  for (const simd::Variant v : kAllVariants) {
-    if (v == simd::Variant::kScalar || !simd::variant_supported(v)) continue;
-    simd::force_variant(v);
-    const EngineRun seq = EngineRun::sequential(g, td, pattern, {});
-    const EngineRun sparse = EngineRun::sparse(g, td, pattern, {});
-    const std::string context =
-        "seed " + std::to_string(seed) + " variant " + simd::variant_name(v);
-    EXPECT_EQ(seq_ref.accepted, seq.accepted) << context;
-    EXPECT_EQ(seq_ref.work, seq.work) << context << " [sequential work]";
-    ASSERT_EQ(seq_ref.states.size(), seq.states.size()) << context;
-    for (std::size_t x = 0; x < seq.states.size(); ++x)
-      EXPECT_EQ(seq_ref.states[x], seq.states[x]) << context << " node " << x;
-    EXPECT_EQ(sparse_ref.accepted, sparse.accepted) << context;
-    EXPECT_EQ(sparse_ref.work, sparse.work) << context << " [sparse work]";
-    ASSERT_EQ(sparse_ref.states.size(), sparse.states.size()) << context;
-    for (std::size_t x = 0; x < sparse.states.size(); ++x)
-      EXPECT_EQ(sparse_ref.states[x], sparse.states[x])
-          << context << " node " << x;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, VariantInvariance, ::testing::Range(0, 60));
 
 }  // namespace
 }  // namespace ppsi::iso

@@ -2,12 +2,10 @@
 //
 // The determinism contract of the scheduler refactor (README "Parallel
 // architecture") is that outputs *and* instrumented work/round counters are
-// bit-identical for every OMP thread count and for both path schedules:
-// the dependency-driven task graph and the reference layer-barrier loop.
-// This suite runs solve_parallel and Solver::find/list/find_batch at
-// OMP_NUM_THREADS 1, 2 and 4 inside one process (fresh Solver per thread
-// count, so cover-build accounting matches) and pins everything against
-// the single-thread reference.
+// bit-identical for every OMP thread count. This suite runs solve_parallel
+// and Solver::find/list/find_batch at OMP_NUM_THREADS 1, 2 and 4 inside one
+// process (fresh Solver per thread count, so cover-build accounting
+// matches) and pins everything against the single-thread reference.
 //
 // Deliberately not pinned: Metrics::allocs / scratch_peak_bytes. Scratch
 // arenas are per *thread*; which arenas grow (and whose residency a query
@@ -84,18 +82,10 @@ TEST_P(SolveParallelThreads, SolutionAndCountersAreThreadCountInvariant) {
   const DpSolution reference = with_threads(
       1, [&] { return iso::solve_parallel(g, td, pattern, {}); });
   for (const int t : kThreadCounts) {
-    for (const auto schedule : {iso::ParallelSchedule::kTaskGraph,
-                                iso::ParallelSchedule::kLayerBarrier}) {
-      iso::ParallelOptions options;
-      options.schedule = schedule;
-      const DpSolution sol = with_threads(
-          t, [&] { return iso::solve_parallel(g, td, pattern, options); });
-      expect_identical_solutions(
-          reference, sol, td.num_nodes(),
-          context + " threads=" + std::to_string(t) + " schedule=" +
-              (schedule == iso::ParallelSchedule::kTaskGraph ? "taskgraph"
-                                                             : "barrier"));
-    }
+    const DpSolution sol = with_threads(
+        t, [&] { return iso::solve_parallel(g, td, pattern, {}); });
+    expect_identical_solutions(reference, sol, td.num_nodes(),
+                               context + " threads=" + std::to_string(t));
   }
 }
 

@@ -1,9 +1,7 @@
 // Unit tests of the flat-state storage layer: the open-addressing FlatMap
 // (collision chains, growth rehash, exact reserve, clear-with-capacity),
-// the batched probe layer's FlatMap edge cases (collision clusters,
-// reserve boundary, growth without reserve), the CSR SigIndex (grouping,
-// empty/absent lookups, input-order independence), and the ScratchArena
-// growth accounting.
+// the CSR SigIndex (grouping, empty/absent lookups, input-order
+// independence), and the ScratchArena growth accounting.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "isomorphism/group_probe.hpp"
 #include "isomorphism/sig_index.hpp"
 #include "support/arena.hpp"
 #include "support/flat_table.hpp"
@@ -132,79 +129,6 @@ TEST(FlatMap, WorksWithStateKeys) {
   EXPECT_EQ(map.find(a), 0u);
   EXPECT_EQ(map.find(b), 1u);  // sep distinguishes
   EXPECT_EQ(map.find(c), kFlatNotFound);
-}
-
-// ---- Batched probes (isomorphism/group_probe.hpp) on FlatMap edges ----
-
-/// Checks find_batch(map, probes) == per-key find over the whole stream
-/// (batch-boundary tails included: callers pass arbitrary lengths).
-void expect_batch_matches_single(
-    const FlatMap<StateKey, StateKeyHash>& map,
-    const std::vector<StateKey>& probes) {
-  std::vector<std::uint32_t> out(probes.size());
-  iso::find_batch(map, probes.data(), probes.size(), out.data());
-  for (std::size_t i = 0; i < probes.size(); ++i)
-    ASSERT_EQ(out[i], map.find(probes[i])) << "probe " << i;
-}
-
-TEST(FlatMapBatched, CollisionClustersProbeIdentically) {
-  // Keys filtered onto four adjacent home slots of a 128-bucket table, so
-  // probes walk long wrapping collision chains.
-  FlatMap<StateKey, StateKeyHash> map;
-  map.reserve(64);
-  ASSERT_EQ(map.bucket_count(), 128u);
-  support::Rng rng(91);
-  std::vector<StateKey> cluster;
-  while (cluster.size() < 100) {
-    const StateKey k{rng.next_u64(), rng.next_u64()};
-    if ((StateKeyHash{}(k) & 127u) < 4u) cluster.push_back(k);
-  }
-  std::vector<StateKey> probes;
-  for (std::size_t i = 0; i < 60; ++i) {
-    map.emplace(cluster[i], static_cast<std::uint32_t>(i));
-    probes.push_back(cluster[i]);
-  }
-  // Absent keys hashing into the same clusters: the probe must walk the
-  // full chain before reporting kFlatNotFound.
-  for (std::size_t i = 60; i < cluster.size(); ++i)
-    probes.push_back(cluster[i]);
-  expect_batch_matches_single(map, probes);
-}
-
-TEST(FlatMapBatched, ExactReserveBoundaryProbesIdentically) {
-  // 112 entries is exactly the 7/8 load cap of 128 buckets: the fullest
-  // legal table an exact reserve can produce, with no growth rehash.
-  FlatMap<StateKey, StateKeyHash> map;
-  map.reserve(112);
-  ASSERT_EQ(map.bucket_count(), 128u);
-  support::Rng rng(92);
-  std::vector<StateKey> probes;
-  for (std::uint32_t i = 0; i < 112; ++i) {
-    const StateKey k{rng.next_u64(), rng.next_u64()};
-    ASSERT_TRUE(map.emplace(k, i));
-    probes.push_back(k);
-  }
-  EXPECT_EQ(map.bucket_count(), 128u);  // reserve held: no rehash
-  for (int i = 0; i < 50; ++i) probes.push_back({rng.next_u64(),
-                                                 rng.next_u64()});
-  expect_batch_matches_single(map, probes);
-}
-
-TEST(FlatMapBatched, GrowthWithoutReserveProbesIdentically) {
-  // No reserve: emplace drives repeated doubling rehashes (the table has
-  // no tombstones — growth re-places every live entry), after which the
-  // batch layer must still find every key.
-  FlatMap<StateKey, StateKeyHash> map;
-  support::Rng rng(93);
-  std::vector<StateKey> probes;
-  for (std::uint32_t i = 0; i < 5000; ++i) {
-    const StateKey k{rng.next_u64(), rng.next_u64()};
-    if (map.emplace(k, i)) probes.push_back(k);
-  }
-  for (int i = 0; i < 500; ++i) probes.push_back({rng.next_u64(),
-                                                  rng.next_u64()});
-  expect_batch_matches_single(map, probes);
-  EXPECT_GT(map.bucket_count() * 7 / 8, map.size());
 }
 
 // ---- SigIndex ----

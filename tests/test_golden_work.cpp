@@ -1,0 +1,186 @@
+// Golden work pin for the three DP engines.
+//
+// The engines' instrumented work is the repo's deterministic cost contract:
+// it counts candidate states and support combos (paper §3, Lemma 3.1), not
+// how a lookup is issued. This suite records, for fixed grid, Apollonian
+// and random instances in base and separating mode, the exact figures of
+// solve_sequential, solve_parallel and solve_sparse:
+//   * metrics.work() and metrics.rounds() per engine,
+//   * the per-node valid-state counts (pinned as their total plus an
+//     FNV-1a digest of the node-ordered count sequence; all three engines
+//     must produce the identical sequence),
+//   * the number of accepting root states.
+// Any change to how the engines probe, hash or schedule must leave every
+// figure unchanged. A figure that moves is a change of the work contract
+// and must be justified, not re-recorded.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "graph/generators.hpp"
+#include "isomorphism/parallel_engine.hpp"
+#include "isomorphism/pattern.hpp"
+#include "isomorphism/sequential_dp.hpp"
+#include "isomorphism/sparse_dp.hpp"
+#include "testing/random_inputs.hpp"
+#include "treedecomp/greedy_decomposition.hpp"
+
+namespace ppsi::iso {
+namespace {
+
+/// How the separating spec of a case marks S (every vertex is allowed).
+enum class Mode { kBase, kSepEvery2, kSepEvery3 };
+
+struct Case {
+  std::string name;
+  Graph g;
+  Pattern pattern;
+  Mode mode;
+};
+
+std::vector<Case> cases() {
+  std::vector<Case> out;
+  const auto from = [](const Graph& p) { return Pattern::from_graph(p); };
+  out.push_back({"grid6x6/C4", gen::grid_graph(6, 6),
+                 from(gen::cycle_graph(4)), Mode::kBase});
+  out.push_back({"grid6x6/C5", gen::grid_graph(6, 6),
+                 from(gen::cycle_graph(5)), Mode::kBase});
+  out.push_back({"grid5x5/P3/sep", gen::grid_graph(5, 5),
+                 from(gen::path_graph(3)), Mode::kSepEvery3});
+  out.push_back({"grid4x5/C4/sep", gen::grid_graph(4, 5),
+                 from(gen::cycle_graph(4)), Mode::kSepEvery2});
+  out.push_back({"apollonian30/C4", gen::apollonian(30, 7).graph(),
+                 from(gen::cycle_graph(4)), Mode::kBase});
+  out.push_back({"apollonian30/K4", gen::apollonian(30, 7).graph(),
+                 from(gen::complete_graph(4)), Mode::kBase});
+  out.push_back({"apollonian20/C3/sep", gen::apollonian(20, 3).graph(),
+                 from(gen::cycle_graph(3)), Mode::kSepEvery2});
+  for (const std::uint64_t seed : {3u, 11u, 29u, 42u}) {
+    out.push_back({"random" + std::to_string(seed),
+                   testing::random_target(seed),
+                   testing::random_pattern(seed), Mode::kBase});
+  }
+  for (const std::uint64_t seed : {5u, 17u}) {
+    out.push_back({"random" + std::to_string(seed) + "/sep",
+                   testing::random_target(seed),
+                   testing::random_pattern(seed, 2, 3), Mode::kSepEvery3});
+  }
+  return out;
+}
+
+SeparatingSpec spec_for(const Case& c) {
+  if (c.mode == Mode::kBase) return SeparatingSpec::disabled();
+  const Vertex stride = c.mode == Mode::kSepEvery2 ? 2 : 3;
+  SeparatingSpec spec;
+  spec.enabled = true;
+  spec.in_s.assign(c.g.num_vertices(), 0);
+  for (Vertex v = 0; v < c.g.num_vertices(); v += stride) spec.in_s[v] = 1;
+  spec.allowed.assign(c.g.num_vertices(), 1);
+  return spec;
+}
+
+struct EngineFigures {
+  std::uint64_t work = 0;
+  std::uint64_t rounds = 0;
+};
+
+struct Golden {
+  const char* name;
+  EngineFigures sequential, parallel, sparse;
+  std::uint64_t states_total;
+  std::uint64_t states_digest;
+  std::uint64_t accepting;
+};
+
+std::vector<std::uint64_t> state_counts(const DpSolution& sol) {
+  std::vector<std::uint64_t> counts;
+  for (const SolvedNode& node : sol.nodes)
+    counts.push_back(node.states.size());
+  return counts;
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint64_t v : values) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+constexpr Golden kGolden[] = {
+    // name, {seq work, rounds}, {par work, rounds}, {sparse work, rounds},
+    // states total, states digest, accepting
+    {"grid6x6/C4", {21454, 37}, {28266, 32}, {11980, 37},
+     4567, 0x5baa8d2edb4be8f0ULL, 5},
+    {"grid6x6/C5", {73592, 37}, {84120, 31}, {25494, 37},
+     10197, 0x72c64b3a6bd151feULL, 0},
+    {"grid5x5/P3/sep", {156838, 25}, {159006, 28}, {10481, 25},
+     3960, 0x89543048533357caULL, 2},
+    {"grid4x5/C4/sep", {193914, 20}, {195316, 28}, {6886, 20},
+     4282, 0x8d09449e3ee7a8afULL, 0},
+    {"apollonian30/C4", {24960, 30}, {37054, 30}, {18390, 30},
+     8108, 0x498cdbcd2f13a429ULL, 5},
+    {"apollonian30/K4", {23012, 30}, {31367, 30}, {13006, 30},
+     6768, 0x52a9633572cf6ee9ULL, 5},
+    {"apollonian20/C3/sep", {47950, 21}, {52940, 28}, {9044, 21},
+     3998, 0xd466930e41675c14ULL, 2},
+    {"random3", {2817, 12}, {3124, 14}, {419, 12},
+     347, 0x02994288433f4a7cULL, 0},
+    {"random11", {917, 10}, {1032, 10}, {215, 10},
+     185, 0x7b12441962ad5d7cULL, 0},
+    {"random29", {1675, 14}, {2518, 16}, {1433, 14},
+     614, 0xd0f77f9158afb39bULL, 4},
+    {"random42", {2329, 11}, {2618, 16}, {408, 11},
+     345, 0x7a1a96b28ab5f53eULL, 0},
+    {"random5/sep", {95704, 30}, {96928, 32}, {8959, 30},
+     3696, 0x81b056df29c0e2a2ULL, 4},
+    {"random17/sep", {2086, 10}, {2526, 18}, {405, 10},
+     240, 0x9f03593223903bc1ULL, 2},
+};
+
+TEST(GoldenWork, EnginesReproduceRecordedFigures) {
+  const std::vector<Case> all = cases();
+  ASSERT_EQ(all.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const Case& c = all[i];
+    const Golden& want = kGolden[i];
+    ASSERT_EQ(c.name, want.name);
+    const auto td =
+        treedecomp::binarize(treedecomp::greedy_decomposition(c.g));
+    DpOptions dp;
+    dp.spec = spec_for(c);
+    ParallelOptions par_options;
+    par_options.spec = dp.spec;
+    const DpSolution seq = solve_sequential(c.g, td, c.pattern, dp);
+    const DpSolution par = solve_parallel(c.g, td, c.pattern, par_options);
+    const DpSolution sparse = solve_sparse(c.g, td, c.pattern, dp);
+
+    EXPECT_EQ(seq.metrics.work(), want.sequential.work) << c.name;
+    EXPECT_EQ(seq.metrics.rounds(), want.sequential.rounds) << c.name;
+    EXPECT_EQ(par.metrics.work(), want.parallel.work) << c.name;
+    EXPECT_EQ(par.metrics.rounds(), want.parallel.rounds) << c.name;
+    EXPECT_EQ(sparse.metrics.work(), want.sparse.work) << c.name;
+    EXPECT_EQ(sparse.metrics.rounds(), want.sparse.rounds) << c.name;
+
+    const std::vector<std::uint64_t> counts = state_counts(seq);
+    EXPECT_EQ(state_counts(par), counts) << c.name;
+    EXPECT_EQ(state_counts(sparse), counts) << c.name;
+    std::uint64_t total = 0;
+    for (std::uint64_t n : counts) total += n;
+    EXPECT_EQ(total, want.states_total) << c.name;
+    EXPECT_EQ(fnv1a(counts), want.states_digest) << c.name;
+
+    EXPECT_EQ(seq.accepting.size(), want.accepting) << c.name;
+    EXPECT_EQ(par.accepting.size(), want.accepting) << c.name;
+    EXPECT_EQ(sparse.accepting.size(), want.accepting) << c.name;
+  }
+}
+
+}  // namespace
+}  // namespace ppsi::iso

@@ -13,13 +13,24 @@
 // Any change to how the engines probe, hash or schedule must leave every
 // figure unchanged. A figure that moves is a change of the work contract
 // and must be justified, not re-recorded.
+//
+// The second table pins the same contract one level up, per ppsi::Solver
+// entry point (find, find_once, list, count, find_disconnected,
+// find_separating, vertex_connectivity) on fixed grid, Apollonian and
+// embedded instances: the answer, the cover runs / listing iterations /
+// connectivity probe runs, work, rounds, slices solved, occurrence and
+// subgraph counts, and the cover misses the query caused. Refactors of the
+// query layer (entry checks, the cover-run loop, sub-query forwarding) must
+// reproduce every figure.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "api/solver.hpp"
 #include "graph/generators.hpp"
 #include "isomorphism/parallel_engine.hpp"
 #include "isomorphism/pattern.hpp"
@@ -184,3 +195,224 @@ TEST(GoldenWork, EnginesReproduceRecordedFigures) {
 
 }  // namespace
 }  // namespace ppsi::iso
+
+namespace ppsi {
+namespace {
+
+using iso::Pattern;
+
+/// One Solver query's accounting. `answer` is the found flag, or the
+/// connectivity value for vertex_connectivity; `runs` is DecisionResult::
+/// runs, the listing iterations, or VertexConnectivityResult::cycle_runs.
+struct QueryFigures {
+  std::uint64_t answer = 0;
+  std::uint64_t runs = 0;
+  std::uint64_t work = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t slices_solved = 0;
+  std::uint64_t occurrences = 0;  ///< listed occurrences / counted maps
+  std::uint64_t subgraphs = 0;
+  std::uint64_t cover_misses = 0;  ///< Solver::cache_stats() after the query
+
+  bool operator==(const QueryFigures&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const QueryFigures& f) {
+  return os << "{" << f.answer << ", " << f.runs << ", " << f.work << ", "
+            << f.rounds << ", " << f.slices_solved << ", " << f.occurrences
+            << ", " << f.subgraphs << ", " << f.cover_misses << "}";
+}
+
+Pattern pattern_of(const Graph& g) { return Pattern::from_graph(g); }
+
+QueryFigures figures(const Result<cover::DecisionResult>& r,
+                     const Solver& solver) {
+  EXPECT_TRUE(r.ok()) << r.status().to_string();
+  if (!r.has_value()) return {};
+  return {r->found, r->runs, r->metrics.work(), r->metrics.rounds(),
+          r->slices_solved, 0, 0, solver.cache_stats().cover_misses};
+}
+
+QueryFigures figures(const Result<cover::ListingResult>& r,
+                     const Solver& solver) {
+  EXPECT_TRUE(r.ok()) << r.status().to_string();
+  if (!r.has_value()) return {};
+  return {0, r->iterations, r->metrics.work(), r->metrics.rounds(), 0,
+          r->occurrences.size(), 0, solver.cache_stats().cover_misses};
+}
+
+QueryFigures figures(const Result<cover::CountResult>& r,
+                     const Solver& solver) {
+  EXPECT_TRUE(r.ok()) << r.status().to_string();
+  if (!r.has_value()) return {};
+  return {0, r->iterations, r->metrics.work(), r->metrics.rounds(), 0,
+          r->assignments, r->subgraphs, solver.cache_stats().cover_misses};
+}
+
+QueryFigures figures(
+    const Result<connectivity::VertexConnectivityResult>& r,
+    const Solver& solver) {
+  EXPECT_TRUE(r.ok()) << r.status().to_string();
+  if (!r.has_value()) return {};
+  return {r->connectivity, r->cycle_runs, r->metrics.work(),
+          r->metrics.rounds(), 0, 0, 0, solver.cache_stats().cover_misses};
+}
+
+/// Every third target vertex marked as S.
+std::vector<std::uint8_t> every_third(const Graph& g) {
+  std::vector<std::uint8_t> in_s(g.num_vertices(), 0);
+  for (Vertex v = 0; v < g.num_vertices(); v += 3) in_s[v] = 1;
+  return in_s;
+}
+
+struct SolverCase {
+  const char* name;
+  QueryFigures (*run)();
+};
+
+QueryOptions runs(std::uint32_t max_runs, std::uint64_t seed = 1) {
+  QueryOptions opts;
+  opts.max_runs = max_runs;
+  opts.seed = seed;
+  return opts;
+}
+
+const SolverCase kSolverCases[] = {
+    {"find/grid8x8/C4",
+     [] {
+       Solver s(gen::grid_graph(8, 8));
+       return figures(s.find(pattern_of(gen::cycle_graph(4))), s);
+     }},
+    {"find/grid8x8/C5",
+     [] {
+       Solver s(gen::grid_graph(8, 8));
+       return figures(s.find(pattern_of(gen::cycle_graph(5)), runs(4)), s);
+     }},
+    {"find/apollonian40/K4",
+     [] {
+       Solver s(gen::apollonian(40, 7).graph());
+       return figures(s.find(pattern_of(gen::complete_graph(4))), s);
+     }},
+    {"find/apollonian40/C6/warm",
+     [] {
+       // The second query hits every cover the first one built.
+       Solver s(gen::apollonian(40, 7).graph());
+       const Pattern c6 = pattern_of(gen::cycle_graph(6));
+       (void)s.find(c6, runs(3, 5));
+       return figures(s.find(c6, runs(3, 5)), s);
+     }},
+    {"find_once/grid8x8/C4",
+     [] {
+       Solver s(gen::grid_graph(8, 8));
+       return figures(s.find_once(pattern_of(gen::cycle_graph(4)), 9), s);
+     }},
+    {"find_once/apollonian40/C5",
+     [] {
+       Solver s(gen::apollonian(40, 7).graph());
+       return figures(s.find_once(pattern_of(gen::cycle_graph(5)), 9), s);
+     }},
+    {"list/grid6x6/C4",
+     [] {
+       Solver s(gen::grid_graph(6, 6));
+       return figures(s.list(pattern_of(gen::cycle_graph(4)), runs(0, 11)),
+                      s);
+     }},
+    {"list/apollonian20/C3",
+     [] {
+       Solver s(gen::apollonian(20, 3).graph());
+       return figures(s.list(pattern_of(gen::cycle_graph(3)), runs(0, 4)),
+                      s);
+     }},
+    {"count/grid6x6/P3",
+     [] {
+       Solver s(gen::grid_graph(6, 6));
+       return figures(s.count(pattern_of(gen::path_graph(3)), runs(0, 5)), s);
+     }},
+    {"count/apollonian20/C4",
+     [] {
+       Solver s(gen::apollonian(20, 3).graph());
+       return figures(s.count(pattern_of(gen::cycle_graph(4)), runs(0, 5)),
+                      s);
+     }},
+    {"find_disconnected/grid6x6/2xP2",
+     [] {
+       Solver s(gen::grid_graph(6, 6));
+       const Graph two_edges =
+           gen::disjoint_union({gen::path_graph(2), gen::path_graph(2)});
+       return figures(s.find_disconnected(pattern_of(two_edges), runs(6)), s);
+     }},
+    {"find_disconnected/grid6x6/2xC3",
+     [] {
+       Solver s(gen::grid_graph(6, 6));
+       const Graph two_triangles =
+           gen::disjoint_union({gen::cycle_graph(3), gen::cycle_graph(3)});
+       return figures(
+           s.find_disconnected(pattern_of(two_triangles), runs(3)), s);
+     }},
+    {"find_separating/grid6x6/C4",
+     [] {
+       const Graph g = gen::grid_graph(6, 6);
+       Solver s(g);
+       return figures(s.find_separating(every_third(g),
+                                        pattern_of(gen::cycle_graph(4)),
+                                        runs(4)),
+                      s);
+     }},
+    {"find_separating/apollonian20/C3",
+     [] {
+       const Graph g = gen::apollonian(20, 3).graph();
+       Solver s(g);
+       return figures(s.find_separating(every_third(g),
+                                        pattern_of(gen::cycle_graph(3)),
+                                        runs(4)),
+                      s);
+     }},
+    {"vertex_connectivity/embedded_grid5x5",
+     [] {
+       Solver s(gen::embedded_grid(5, 5));
+       return figures(s.vertex_connectivity(runs(4)), s);
+     }},
+    {"vertex_connectivity/apollonian30",
+     [] {
+       Solver s(gen::apollonian(30, 7));
+       return figures(s.vertex_connectivity(runs(4)), s);
+     }},
+    {"vertex_connectivity/icosahedron",
+     [] {
+       Solver s(gen::icosahedron());
+       return figures(s.vertex_connectivity(runs(2)), s);
+     }},
+};
+
+constexpr QueryFigures kSolverGolden[] = {
+    // answer, runs, work, rounds, slices_solved, occurrences, subgraphs,
+    // cover_misses
+    {1, 1, 926, 15, 1, 0, 0, 1},          // find/grid8x8/C4
+    {0, 4, 88628, 173, 36, 0, 0, 4},      // find/grid8x8/C5
+    {1, 1, 2976, 15, 1, 0, 0, 1},         // find/apollonian40/K4
+    {1, 1, 142204, 35, 1, 0, 0, 1},       // find/apollonian40/C6/warm
+    {1, 1, 2123, 25, 1, 0, 0, 1},         // find_once/grid8x8/C4
+    {1, 1, 16297, 18, 1, 0, 0, 1},        // find_once/apollonian40/C5
+    {0, 15, 94966, 403, 0, 200, 0, 15},   // list/grid6x6/C4
+    {0, 14, 51176, 271, 0, 312, 0, 14},   // list/apollonian20/C3
+    {0, 15, 64062, 383, 0, 296, 148, 15},   // count/grid6x6/P3
+    {0, 15, 227242, 333, 0, 1024, 128, 15},  // count/apollonian20/C4
+    {1, 1, 188, 35, 2, 0, 0, 0},          // find_disconnected/grid6x6/2xP2
+    {0, 3, 3116, 220, 47, 0, 0, 0},       // find_disconnected/grid6x6/2xC3
+    {0, 4, 80895, 141, 26, 0, 0, 4},      // find_separating/grid6x6/C4
+    {1, 1, 5121, 18, 1, 0, 0, 1},         // find_separating/apollonian20/C3
+    {2, 1, 3742, 42, 0, 0, 0, 1},         // vertex_connectivity/grid5x5
+    {3, 5, 349309, 395, 0, 0, 0, 5},      // vertex_connectivity/apollonian30
+    {5, 6, 3475508, 232, 0, 0, 0, 6},     // vertex_connectivity/icosahedron
+};
+
+TEST(GoldenWork, SolverEntryPointsReproduceRecordedFigures) {
+  ASSERT_EQ(std::size(kSolverCases), std::size(kSolverGolden));
+  for (std::size_t i = 0; i < std::size(kSolverCases); ++i) {
+    const QueryFigures got = kSolverCases[i].run();
+    EXPECT_EQ(got, kSolverGolden[i]) << kSolverCases[i].name;
+  }
+}
+
+}  // namespace
+}  // namespace ppsi

@@ -2,8 +2,7 @@
 // it, then ask that session for patterns, occurrence listings, and the
 // vertex connectivity. The Solver is the supported API: it memoizes the
 // per-target state (k-d covers, tree decompositions, the face-vertex
-// graph), so every query after the first amortizes — the legacy free
-// functions in cover/pipeline.hpp are deprecated shims over it.
+// graph), so every query after the first amortizes.
 //
 //   $ ./quickstart
 

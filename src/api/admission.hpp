@@ -2,8 +2,8 @@
 
 // Admission — the query-class options of the asynchronous serving layer.
 //
-// One shared struct, accepted uniformly by Solver::*_async and every
-// SolverPool submission, replacing ad-hoc per-call knobs. It describes how
+// One shared struct, accepted uniformly by every SolverPool submission,
+// replacing ad-hoc per-call knobs. It describes how
 // a query should be *scheduled*, never what it computes:
 //   * priority  — strict-priority class (kInteractive > kNormal > kBulk);
 //     a higher class dispatches before any lower one, and may park a
@@ -58,7 +58,7 @@ struct Admission {
   double retry_backoff_seconds = 0.0;
 };
 
-/// Eager validation; every *_async / SolverPool submission calls this
+/// Eager validation; every SolverPool submission calls this
 /// before enqueueing (a rejected Admission resolves the handle to
 /// kInvalidOptions immediately).
 Status validate(const Admission& admission);

@@ -14,13 +14,13 @@
 //     only known after the deterministic replay accounts it).
 //
 // Forwarding to sub-queries (find_disconnected components,
-// vertex_connectivity probes) must respect the option sentinels: both
-// `max_work = 0` and `deadline_seconds = 0` mean "unlimited", so an
-// exhausted budget forwards the smallest *positive* remainder (1 unit of
-// work / 1 ns) instead of rounding to the sentinel and granting the
-// sub-query unlimited room. Pinned by the Budget tests in
-// tests/test_solver.cpp. Lives in a header (not solver.cpp) precisely so
-// those boundary semantics stay unit-testable.
+// vertex_connectivity probes, both through Budget::forward) must respect
+// the option sentinels: both `max_work = 0` and `deadline_seconds = 0`
+// mean "unlimited", so an exhausted budget forwards the smallest
+// *positive* remainder (1 unit of work / 1 ns) instead of rounding to the
+// sentinel and granting the sub-query unlimited room. Pinned by the Budget
+// tests in tests/test_solver.cpp. Lives in a header (not solver.cpp)
+// precisely so those boundary semantics stay unit-testable.
 //
 // Serving-layer extras: the budget also carries the query's ParkGate
 // (cooperative suspend/resume at slice boundaries) and can credit parked
@@ -87,6 +87,18 @@ class Budget {
     if (!deadline_.armed()) return 0.0;
     const double left = deadline_.remaining_seconds();
     return left > 1e-9 ? left : 1e-9;
+  }
+
+  /// The options of a sub-query (find_disconnected components,
+  /// vertex_connectivity probes): `options` with the work and deadline
+  /// left after `spent`, against the sub-solver's own single version.
+  QueryOptions forward(const QueryOptions& options,
+                       const support::Metrics& spent) const {
+    QueryOptions sub = options;
+    sub.max_work = remaining_work(spent);
+    sub.deadline_seconds = remaining_seconds();
+    sub.at = nullptr;
+    return sub;
   }
 
   /// The query's cancellation token (nullptr when it has none) and armed

@@ -2,8 +2,8 @@
 
 // PendingResult<T> — the future-like handle of one asynchronous query.
 //
-// Solver::find_async / list_async / count_async (and the SolverPool
-// counterparts) return one immediately; the query itself runs detached on
+// SolverPool::submit and its find_async / list_async / count_async
+// wrappers return one immediately; the query itself runs detached on
 // the shared serving pool (support::Scheduler::submit) and fulfills the
 // handle exactly once. The handle owns the query's CancelToken, so
 // cancel() is always safe:
@@ -54,8 +54,8 @@ struct PendingShared {
 template <typename T>
 class PendingResult {
  public:
-  /// Invalid handle (valid() == false); every *_async query returns a
-  /// valid one.
+  /// Invalid handle (valid() == false); every SolverPool submission
+  /// returns a valid one.
   PendingResult() = default;
   explicit PendingResult(std::shared_ptr<detail::PendingShared<T>> shared)
       : shared_(std::move(shared)) {}

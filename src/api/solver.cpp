@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <map>
@@ -31,18 +30,8 @@
 #include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "support/scheduler.hpp"
-#include "support/timer.hpp"
 #include "treedecomp/bfs_layer_decomposition.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
-
-// GCC 12's -Wmaybe-uninitialized fires false positives in the query methods
-// below when a result struct holding a std::optional member
-// (DecisionResult::witness) is moved into Result<T>'s std::optional; the
-// member is provably engaged-or-empty. Placed after the includes so the
-// headers keep the diagnostic.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
 
 namespace ppsi {
 
@@ -88,52 +77,30 @@ std::string Status::to_string() const {
 }
 
 Status validate(const QueryOptions& options) {
-  cover::PipelineOptions pipeline;
-  pipeline.seed = options.seed;
-  pipeline.max_runs = options.max_runs;
-  pipeline.engine = options.engine;
-  pipeline.decomposition = options.decomposition;
-  pipeline.use_shortcuts = options.use_shortcuts;
-  pipeline.list_limit = options.list_limit;
-  pipeline.stopping_slack = options.stopping_slack;
-  if (const char* message = cover::validate_options(pipeline))
-    return Status::InvalidOptions(message);
+  if (options.list_limit == 0)
+    return Status::InvalidOptions("list_limit must be positive");
+  if (options.stopping_slack > cover::kMaxStoppingSlack)
+    return Status::InvalidOptions(
+        "stopping_slack out of range (max kMaxStoppingSlack = 64)");
+  switch (options.engine) {
+    case cover::EngineKind::kSparse:
+    case cover::EngineKind::kParallel:
+    case cover::EngineKind::kSequential:
+      break;
+    default:
+      return Status::InvalidOptions("unknown engine kind");
+  }
+  switch (options.decomposition) {
+    case cover::DecompositionKind::kGreedyMinDegree:
+    case cover::DecompositionKind::kGreedyMinFill:
+    case cover::DecompositionKind::kBfsLayer:
+      break;
+    default:
+      return Status::InvalidOptions("unknown decomposition kind");
+  }
   if (std::isnan(options.deadline_seconds) || options.deadline_seconds < 0)
     return Status::InvalidOptions(
         "deadline_seconds must be non-negative (0 disables the deadline)");
-  return Status::Ok();
-}
-
-const char* to_string(Priority priority) {
-  switch (priority) {
-    case Priority::kBulk: return "bulk";
-    case Priority::kNormal: return "normal";
-    case Priority::kInteractive: return "interactive";
-  }
-  return "unknown";
-}
-
-Status validate(const Admission& admission) {
-  switch (admission.priority) {
-    case Priority::kBulk:
-    case Priority::kNormal:
-    case Priority::kInteractive:
-      break;
-    default:
-      return Status::InvalidOptions("Admission::priority: unknown class");
-  }
-  if (!(admission.deadline_seconds >= 0) ||
-      !std::isfinite(admission.deadline_seconds))
-    return Status::InvalidOptions(
-        "Admission::deadline_seconds must be non-negative and finite "
-        "(0 disables shedding)");
-  if (!(admission.tenant_weight > 0) || !std::isfinite(admission.tenant_weight))
-    return Status::InvalidOptions(
-        "Admission::tenant_weight must be positive and finite");
-  if (!(admission.retry_backoff_seconds >= 0) ||
-      !std::isfinite(admission.retry_backoff_seconds))
-    return Status::InvalidOptions(
-        "Admission::retry_backoff_seconds must be non-negative and finite");
   return Status::Ok();
 }
 
@@ -238,19 +205,14 @@ iso::DpSolution solve_slice(const Slice& slice,
                             bool release_interior,
                             const support::CancelScope& cancel) {
   PPSI_FAULT_POINT("solver.slice");
-  if (options.engine == cover::EngineKind::kSequential) {
+  if (options.engine != cover::EngineKind::kParallel) {
     iso::DpOptions dp;
     dp.spec = slice.spec;
     dp.release_interior = release_interior;
     dp.cancel = cancel;  // per-node checks preempt mid-slice
-    return iso::solve_sequential(slice.graph, td, pattern, dp);
-  }
-  if (options.engine == cover::EngineKind::kSparse) {
-    iso::DpOptions dp;
-    dp.spec = slice.spec;
-    dp.release_interior = release_interior;
-    dp.cancel = cancel;
-    return iso::solve_sparse(slice.graph, td, pattern, dp);
+    return options.engine == cover::EngineKind::kSequential
+               ? iso::solve_sequential(slice.graph, td, pattern, dp)
+               : iso::solve_sparse(slice.graph, td, pattern, dp);
   }
   iso::ParallelOptions par;
   par.spec = slice.spec;
@@ -284,10 +246,13 @@ Status interruption_cause(const support::CancelToken* token,
   return {};
 }
 
-/// Solves every slice of one cover against its memoized decompositions;
-/// returns a witness (slice-local images translated through origin_of) when
-/// some slice accepts. When `collect` is non-null, all occurrences of
-/// accepting slices are accumulated instead.
+/// Solves every slice of one cover against its memoized decompositions and
+/// accounts the run into `run`: work and allocations add, scratch peaks
+/// max-merge, and the run's rounds are the maximum over its slices (they
+/// are independent, i.e. parallel, in the PRAM reading). Returns whether
+/// some slice accepts, with a witness (slice-local images translated
+/// through origin_of) in `run`. When `collect` is non-null, all occurrences
+/// of accepting slices are accumulated instead.
 ///
 /// One task per slice goes into the shared scheduler (whose path tasks, for
 /// the parallel engine, join the same pool — slices and paths interleave
@@ -303,8 +268,7 @@ Status interruption_cause(const support::CancelToken* token,
 ///   * the watermark: in decision mode the first accepting slice lowers
 ///     it; in collect mode the replay task that satisfies `limit` does —
 ///     either way the speculative tail of strictly larger indices skips
-///     itself (the PR 5 "wall-only tradeoff" of solving every listing
-///     slice after a mid-cover limit hit is gone);
+///     itself;
 ///   * the query's CancelToken and armed DeadlineClock (from `budget`):
 ///     these preempt *mid-cover* (even mid-slice); the replay then stops
 ///     at the first unsolved slice, reports the cause through `*interrupt`,
@@ -329,9 +293,9 @@ Status interruption_cause(const support::CancelToken* token,
 /// accounted counter — is bit-identical to an unparked run.
 bool solve_all_slices(const Cover& cover, const TdList& tds,
                       const Pattern& pattern, const QueryOptions& options,
-                      const Budget& budget, DecisionResult* decision,
+                      const Budget& budget, DecisionResult& run,
                       std::set<Assignment>* collect, std::size_t limit,
-                      support::Metrics* run_depth, Status* interrupt) {
+                      Status* interrupt) {
   // Decision-only queries never recover assignments, so the engines may
   // free each solved node as soon as its parent has consumed it.
   const bool release_interior = options.decision_only && collect == nullptr;
@@ -361,14 +325,11 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
   // (solved in parallel in the PRAM reading): their work adds, their
   // rounds compose as a maximum. Allocation events add and scratch peaks
   // max-merge, mirroring the work/rounds split.
+  support::Metrics slices;
   const auto account = [&](std::size_t i, const iso::DpSolution& sol) {
     tds.note_accounted(i);
-    if (decision == nullptr) return;
-    decision->metrics.add_work(sol.metrics.work());
-    decision->metrics.add_allocs(sol.metrics.allocs());
-    decision->metrics.note_scratch_peak(sol.metrics.scratch_peak_bytes());
-    run_depth->absorb_parallel(sol.metrics);
-    ++decision->slices_solved;
+    slices.absorb_parallel(sol.metrics);
+    ++run.slices_solved;
   };
 
   // Bounded speculation: both modes stop accounting early (decision: first
@@ -439,6 +400,16 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
     }
   };
 
+  // A slice is pending until replayed (collect) / solved or made obsolete
+  // by an accepting smaller index (decision). Rounds start with the
+  // collect-mode flags clear; they only end the park loop below.
+  const auto pending = [&](std::size_t i) {
+    if (decision_mode)
+      return !outcomes[i].solved &&
+             !watermark.obsolete(static_cast<std::uint32_t>(i));
+    return replayed[i] == 0 && !replay.limit_reached && !replay.stopped;
+  };
+
   // ---- Solve all (needed) slices on the shared task pool, in rounds. ----
   // Without a ParkGate the loop body runs exactly once (the pre-park
   // structure). With one, a round that drained while a park was requested
@@ -447,15 +418,9 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
   for (;;) {
     support::TaskGraph graph;
     std::vector<std::uint32_t> task_of_slice;  // this round's solve tasks
-    std::vector<std::size_t> slice_of_task;    // inverse of the above
     std::vector<std::uint32_t> replay_tasks;   // collect mode, this round
     for (const std::size_t i : eligible) {
-      // A slice is pending until replayed (collect) / solved or made
-      // obsolete by an accepting smaller index (decision).
-      if (decision_mode && (outcomes[i].solved || watermark.obsolete(
-                                static_cast<std::uint32_t>(i))))
-        continue;
-      if (!decision_mode && replayed[i] != 0) continue;
+      if (!pending(i)) continue;
       std::uint32_t solve_task = support::CancelWatermark::kNone;
       if (!outcomes[i].solved) {
         solve_task = graph.add([&, i] {
@@ -480,7 +445,6 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
           if (decision_mode && out.sol.accepted)
             watermark.accept(static_cast<std::uint32_t>(i));
         });
-        slice_of_task.push_back(i);
         task_of_slice.push_back(solve_task);
       }
       if (!decision_mode) {
@@ -508,17 +472,7 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
     // it), and with nothing pending the request rides to the query's next
     // slice-boundary checkpoint (or its completion) instead.
     if (park == nullptr || !park->park_requested() || preempted()) break;
-    bool pending = false;
-    for (const std::size_t i : eligible) {
-      if (decision_mode) {
-        pending = !outcomes[i].solved &&
-                  !watermark.obsolete(static_cast<std::uint32_t>(i));
-      } else {
-        pending = replayed[i] == 0 && !replay.limit_reached && !replay.stopped;
-      }
-      if (pending) break;
-    }
-    if (!pending) break;
+    if (std::none_of(eligible.begin(), eligible.end(), pending)) break;
     replay.paused = false;
     // Park: hand the admission slot back (ParkGate's on_parked), block
     // until the pool resumes us, and credit the suspension to the budget
@@ -526,13 +480,12 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
     budget.credit_parked(park->park());
   }
 
-  if (!decision_mode) {
-    if (replay.stopped) *interrupt = interruption_cause(token, deadline);
-    return replay.found;
-  }
+  bool found = replay.found;  // collect mode's verdict
+  if (!decision_mode && replay.stopped)
+    *interrupt = interruption_cause(token, deadline);
 
   // ---- Decision mode: deterministic replay in slice-index order. ----
-  for (std::size_t i = 0; i < num_slices; ++i) {
+  for (std::size_t i = 0; decision_mode && i < num_slices; ++i) {
     const Slice& slice = cover.slices[i];
     if (slice.graph.num_vertices() < pattern.size()) continue;
     SliceOutcome& outcome = outcomes[i];
@@ -543,7 +496,7 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
       support::require(token != nullptr || deadline != nullptr,
                        "solve_all_slices: replay reached a cancelled slice");
       *interrupt = interruption_cause(token, deadline);
-      return false;
+      break;
     }
     const iso::DpSolution& sol = outcome.sol;
     account(i, sol);
@@ -551,30 +504,18 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
       outcome.sol = {};  // accounted; free before replaying the rest
       continue;
     }
-    if (!release_interior && decision != nullptr &&
-        !decision->witness.has_value()) {
+    if (!release_interior && !run.witness.has_value()) {
       auto assignments = iso::recover_assignments(sol, tds.get(i, slice), 1);
       if (!assignments.empty()) {
         Assignment witness = assignments.front();
         for (Vertex& image : witness) image = slice.origin_of[image];
-        decision->witness = witness;
+        run.witness = witness;
       }
     }
-    return true;
+    found = true;
+    break;
   }
-  return false;
-}
-
-bool solve_cover(const Cover& cover, const TdList& tds,
-                 const Pattern& pattern, const QueryOptions& options,
-                 const Budget& budget, DecisionResult* decision,
-                 std::set<Assignment>* collect, std::size_t limit,
-                 Status* interrupt) {
-  support::Metrics run_depth;
-  const bool found =
-      solve_all_slices(cover, tds, pattern, options, budget, decision,
-                       collect, limit, &run_depth, interrupt);
-  if (decision != nullptr) decision->metrics.add_rounds(run_depth.rounds());
+  run.metrics.absorb(slices);
   return found;
 }
 
@@ -664,6 +605,182 @@ bool slice_equal(const Slice& a, const Slice& b) {
          a.spec.in_s == b.spec.in_s && a.spec.allowed == b.spec.allowed;
 }
 
+/// run_query's default version-dependent input check: none.
+struct AdmitAll {
+  Status operator()(const detail::VersionState&) const { return {}; }
+};
+
+Status require_connected(const Pattern& pattern, const char* query) {
+  if (pattern.is_connected()) return Status::Ok();
+  return Status::InvalidPattern(std::string(query) +
+                                ": connected pattern required "
+                                "(use find_disconnected)");
+}
+
+/// find_disconnected's search (§4.1, Lemma 4.1): random l-colorings of the
+/// target, each component searched in its color class by a sub-query.
+Status find_components(
+    const detail::VersionState& ver, const Pattern& pattern,
+    const std::vector<std::vector<std::uint32_t>>& components,
+    const QueryOptions& options, const Budget& budget,
+    DecisionResult& total) {
+  const Graph& g = ver.graph;
+  if (g.num_vertices() < pattern.size()) return {};
+  const auto l = static_cast<std::uint32_t>(components.size());
+  // l^k attempts find a fixed occurrence with constant probability
+  // (Lemma 4.1); multiply by log n for w.h.p. (capped by max_runs).
+  double attempts_d = std::pow(static_cast<double>(l), pattern.size()) *
+                      (std::log2(static_cast<double>(g.num_vertices()) + 2.0));
+  if (options.max_runs > 0)
+    attempts_d = std::min(attempts_d, static_cast<double>(options.max_runs));
+  const auto attempts = static_cast<std::uint32_t>(std::min(attempts_d, 1e7));
+  // Component patterns and their back maps into the full pattern.
+  std::vector<Pattern> parts;
+  std::vector<std::vector<std::uint32_t>> back_maps;
+  for (const auto& comp : components) {
+    std::vector<std::uint32_t> back;
+    parts.push_back(pattern.component_pattern(comp, &back));
+    back_maps.push_back(std::move(back));
+  }
+  for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
+    ++total.runs;
+    support::Rng rng(support::hash_combine(options.seed, 0xd15c + attempt));
+    std::vector<Vertex> color(g.num_vertices());
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      color[v] = static_cast<Vertex>(rng.next_below(l));
+    Assignment witness(pattern.size(), kNoVertex);
+    bool all_found = true;
+    for (std::uint32_t i = 0; i < parts.size(); ++i) {
+      std::vector<Vertex> members;
+      for (Vertex v = 0; v < g.num_vertices(); ++v)
+        if (color[v] == i) members.push_back(v);
+      if (members.size() < parts[i].size()) {
+        all_found = false;
+        break;
+      }
+      // Each coloring induces a fresh subgraph, so there is nothing to
+      // cache across attempts: an ephemeral sub-Solver matches the legacy
+      // behavior exactly.
+      DerivedGraph sub = induced_subgraph(g, members);
+      const std::vector<Vertex> origin_of = std::move(sub.origin_of);
+      // Sub-queries inherit whatever budget is left, so one component
+      // search cannot overshoot the caller's work/deadline bound.
+      QueryOptions inner = budget.forward(options, total.metrics);
+      inner.max_runs = 3;  // constant success probability per correct coloring
+      inner.seed = support::hash_combine(options.seed, attempt * l + i);
+      Solver sub_solver(std::move(sub.graph));
+      const Result<DecisionResult> part = sub_solver.find(parts[i], inner);
+      total.metrics.absorb(part->metrics);
+      total.slices_solved += part->slices_solved;
+      if (!part.ok()) return part.status();
+      if (!part->found) {
+        all_found = false;
+        break;
+      }
+      if (part->witness.has_value()) {
+        for (std::uint32_t v = 0; v < parts[i].size(); ++v)
+          witness[back_maps[i][v]] = origin_of[(*part->witness)[v]];
+      }
+    }
+    if (all_found) {
+      total.found = true;
+      if (!options.decision_only) total.witness = witness;
+      return {};
+    }
+    if (Status status = budget.check(total.metrics); !status.ok())
+      return status;
+  }
+  return {};
+}
+
+/// vertex_connectivity (§5): the small / disconnected / articulation cases
+/// directly, then separating-cycle probes of the face-vertex graph, whose
+/// sub-solver is created with `cache_capacity`.
+Status probe_connectivity(const detail::VersionState& ver,
+                          std::size_t cache_capacity,
+                          const QueryOptions& options, const Budget& budget,
+                          connectivity::VertexConnectivityResult& result) {
+  const Graph& g = ver.graph;
+  const Vertex n = g.num_vertices();
+  if (n <= options.small_cutoff) {
+    const connectivity::FlowConnectivityResult flow =
+        connectivity::vertex_connectivity_flow(g);
+    result.connectivity = flow.connectivity;
+    result.witness_cut = flow.min_cut;
+    return {};
+  }
+  if (connected_components(g).count != 1) {
+    result.connectivity = 0;
+    return {};
+  }
+  const std::vector<Vertex> cuts = connectivity::articulation_points(g);
+  if (!cuts.empty()) {
+    result.connectivity = 1;
+    result.witness_cut = {cuts.front()};
+    return {};
+  }
+  // 2-connected: probe S-separating cycles in the face-vertex graph, which
+  // is built once per *version* and probed through a cached sub-Solver
+  // (its cover cache persists across vertex_connectivity calls, and a
+  // pinned query probes exactly the snapshot it pinned).
+  {
+    const std::lock_guard<std::mutex> lock(ver.fvg_mutex);
+    if (!ver.fvg_solver) {
+      const planar::FaceVertexGraph fvg =
+          planar::build_face_vertex_graph(*ver.embedding);
+      ver.fvg_num_original = fvg.num_original;
+      ver.fvg_in_s.assign(fvg.graph.num_vertices(), 0);
+      for (Vertex v = 0; v < fvg.num_original; ++v) ver.fvg_in_s[v] = 1;
+      ver.fvg_solver = std::make_unique<Solver>(fvg.graph);
+      ver.fvg_solver->set_cache_capacity(cache_capacity);
+    }
+  }
+  for (std::uint32_t c = 2; c <= 4; ++c) {
+    const iso::Pattern cycle =
+        iso::Pattern::from_graph(gen::cycle_graph(2 * c));
+    // Each probe inherits whatever budget is left, so a single cycle probe
+    // (itself a full find_separating run loop) cannot overshoot it.
+    QueryOptions probe = budget.forward(options, result.metrics);
+    probe.seed = support::hash_combine(options.seed, c);
+    const Result<DecisionResult> probed =
+        ver.fvg_solver->find_separating(ver.fvg_in_s, cycle, probe);
+    result.metrics.absorb(probed->metrics);
+    result.cycle_runs += probed->runs;
+    if (!probed.ok()) return probed.status();
+    if (probed->found) {
+      result.connectivity = c;
+      if (probed->witness.has_value()) {
+        for (const Vertex image : *probed->witness) {
+          if (image < ver.fvg_num_original)
+            result.witness_cut.push_back(image);
+        }
+        std::sort(result.witness_cut.begin(), result.witness_cut.end());
+        // Degenerate separating cycles (e.g. both faces of one edge on a
+        // 2-face graph) separate G' by exhausting the faces without the
+        // originals being a cut of G; verify and drop such witnesses.
+        // The connectivity *value* is unaffected (Lemma 5.1).
+        std::vector<Vertex> keep;
+        for (Vertex v = 0; v < g.num_vertices(); ++v) {
+          if (!std::binary_search(result.witness_cut.begin(),
+                                  result.witness_cut.end(), v)) {
+            keep.push_back(v);
+          }
+        }
+        if (keep.size() < 2 ||
+            connected_components(induced_subgraph(g, keep).graph).count < 2) {
+          result.witness_cut.clear();
+        }
+      }
+      return {};
+    }
+    if (Status status = budget.check(result.metrics); !status.ok())
+      return status;
+  }
+  // No separating C4/C6/C8: Euler's formula caps planar connectivity at 5.
+  result.connectivity = 5;
+  return {};
+}
+
 }  // namespace
 
 struct Solver::Impl {
@@ -714,24 +831,6 @@ struct Solver::Impl {
     return current;
   }
 
-  /// Resolves the snapshot a query runs against: an explicit
-  /// QueryOptions::at pin (validated to belong to this Solver — foreign
-  /// versions would poison the version-keyed cache) or the current version.
-  Status pin(const TargetVersion* at, Snapshot* out) const {
-    if (at != nullptr) {
-      if (!at->valid())
-        return Status::InvalidOptions(
-            "QueryOptions::at: default-constructed TargetVersion");
-      if (at->state_->ledger != ledger)
-        return Status::InvalidOptions(
-            "QueryOptions::at: TargetVersion belongs to a different Solver");
-      *out = at->state_;
-      return Status::Ok();
-    }
-    *out = pin_current();
-    return Status::Ok();
-  }
-
   /// Every still-reachable snapshot (sweeps expired registry entries).
   std::vector<Snapshot> live_snapshots() const {
     std::vector<Snapshot> out;
@@ -740,6 +839,26 @@ struct Solver::Impl {
       if (Snapshot snap = weak.lock()) out.push_back(std::move(snap));
     }
     return out;
+  }
+
+  /// Capacity bound (0 = unlimited): evicts least-recently-used entries
+  /// other than `keep` down to cache_capacity. In-flight readers keep
+  /// theirs alive via shared_ptr. Entries of every version count against
+  /// the one bound. Caller holds cache_mutex.
+  void evict_lru_locked(const CoverEntry* keep) {
+    while (cache_capacity > 0 && covers.size() > cache_capacity) {
+      auto victim = covers.end();
+      for (auto it = covers.begin(); it != covers.end(); ++it) {
+        if (it->second.get() == keep) continue;
+        if (victim == covers.end() ||
+            it->second->last_used < victim->second->last_used) {
+          victim = it;
+        }
+      }
+      if (victim == covers.end()) break;
+      covers.erase(victim);
+      evictions.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   CoverAccess acquire_cover(const detail::VersionState& ver,
@@ -761,22 +880,7 @@ struct Solver::Impl {
       if (!slot) slot = std::make_shared<CoverEntry>();
       slot->last_used = ++use_tick;
       access.entry = slot;
-      // Capacity bound (0 = unlimited): evict the least-recently-used
-      // other entry. In-flight readers keep theirs alive via shared_ptr.
-      // Entries of every version count against the one bound.
-      while (cache_capacity > 0 && covers.size() > cache_capacity) {
-        auto victim = covers.end();
-        for (auto it = covers.begin(); it != covers.end(); ++it) {
-          if (it->second == access.entry) continue;
-          if (victim == covers.end() ||
-              it->second->last_used < victim->second->last_used) {
-            victim = it;
-          }
-        }
-        if (victim == covers.end()) break;
-        covers.erase(victim);
-        evictions.fetch_add(1, std::memory_order_relaxed);
-      }
+      evict_lru_locked(access.entry.get());
     }
     CoverEntry& entry = *access.entry;
     bool donated = false;
@@ -898,63 +1002,152 @@ struct Solver::Impl {
     stale_purged.fetch_add(dead.size(), std::memory_order_relaxed);
   }
 
-  /// One decision-pipeline cover run against the cache. Cover-build
-  /// metrics are charged only when this run actually built the cover — a
-  /// cache hit did not perform that work. A mid-cover preemption (token /
-  /// deadline, threaded through `budget`) reports through `*interrupt`;
-  /// the returned result then holds the partially-accounted run.
-  DecisionResult run_once_cached(const detail::VersionState& ver,
-                                 const Pattern& pattern,
-                                 std::uint64_t run_seed,
-                                 const QueryOptions& options,
-                                 const Budget& budget, Status* interrupt) {
-    DecisionResult result;
-    result.runs = 1;
-    CoverKey key;
-    key.d = std::max(1u, pattern.diameter());
-    key.k = pattern.size();
-    key.seed = run_seed;
-    key.version = ver.id;
-    const CoverAccess access = acquire_cover(ver, key, options.decomposition);
-    if (access.built_cover) result.metrics.absorb(access.cover->metrics);
-    result.found = solve_cover(*access.cover, *access.tds, pattern, options,
-                               budget, &result, nullptr, 1, interrupt);
+  /// The skeleton every blocking query runs through. In order: option
+  /// validation, the query's own input check (`input`), the version pin,
+  /// the checks against the pinned version (`admit`), the Budget and its
+  /// entry check (a pre-cancelled token or due deadline returns before any
+  /// cover is built), and `body(version, budget, result)` under the one
+  /// containment boundary. An exception escaping the body (internal
+  /// invariant, allocation failure, injected fault — surfaced by
+  /// Scheduler::run on this thread) resolves to kInternal /
+  /// kResourceExhausted; like any non-ok status the body returns, it
+  /// carries `result` as accounted so far. The Solver, its cache and the
+  /// version ledger stay consistent: every mutation is lock-guarded and
+  /// ordered build-then-publish. Tracing spans belong here.
+  template <typename T, typename Body, typename Admit = AdmitAll>
+  Result<T> run_query(const QueryOptions& options, const Status& input,
+                      Body body, Admit admit = {}) {
+    if (Status status = validate(options); !status.ok()) return status;
+    if (!input.ok()) return input;
+    // Pin QueryOptions::at (a foreign version would poison the
+    // version-keyed cache) or else the current version.
+    const TargetVersion* at = options.at;
+    if (at != nullptr && !at->valid())
+      return Status::InvalidOptions(
+          "QueryOptions::at: default-constructed TargetVersion");
+    if (at != nullptr && at->state_->ledger != ledger)
+      return Status::InvalidOptions(
+          "QueryOptions::at: TargetVersion belongs to a different Solver");
+    const Snapshot snap = at != nullptr ? at->state_ : pin_current();
+    if (Status status = admit(*snap); !status.ok()) return status;
+    const Budget budget(options);
+    T result;
+    Status status = budget.check(result.metrics);
+    try {
+      if (status.ok()) status = body(*snap, budget, result);
+    } catch (...) {
+      status = contained_status();
+    }
+    if (!status.ok()) return {std::move(status), std::move(result)};
     return result;
   }
 
-  // In-flight async queries (find_async & co). The destructor drains them
-  // so a detached query never outlives the Solver it references.
-  std::mutex async_mutex;
-  std::condition_variable async_done;
-  std::size_t async_inflight = 0;  // guarded by async_mutex
+  /// find, find_once and find_separating: run_query over the cover-run
+  /// loop of Theorem 2.1 (and its §5.2 separating variant). Per run,
+  /// acquire the cover for `key` with the run's seed, solve its slices, and
+  /// absorb the run — cover-build metrics only when this run built the
+  /// cover (a cache hit did not perform that work). Stops on found, on a
+  /// mid-cover preemption (its precise cause), or on a failed between-runs
+  /// budget check. `max_runs` = 0 means 2 log2(n) + 4 runs, enough for a
+  /// w.h.p. negative.
+  template <typename SeedOf, typename Admit = AdmitAll>
+  Result<DecisionResult> run_covers(const char* query, const Pattern& pattern,
+                                    const QueryOptions& options, CoverKey key,
+                                    std::uint32_t max_runs, SeedOf seed_of,
+                                    Admit admit = {}) {
+    const auto loop = [&](const detail::VersionState& ver,
+                          const Budget& budget, DecisionResult& total) {
+      const Vertex n = ver.graph.num_vertices();
+      if (n < pattern.size()) return Status();
+      const std::uint32_t runs = max_runs > 0 ? max_runs : default_runs(n);
+      key.d = std::max(1u, pattern.diameter());
+      key.k = pattern.size();
+      key.version = ver.id;
+      for (std::uint32_t r = 0; r < runs; ++r) {
+        key.seed = seed_of(r);
+        const CoverAccess access =
+            acquire_cover(ver, key, options.decomposition);
+        DecisionResult run;
+        Status interrupt;
+        const bool found =
+            solve_all_slices(*access.cover, *access.tds, pattern, options,
+                             budget, run, nullptr, 1, &interrupt);
+        if (access.built_cover) total.metrics.absorb(access.cover->metrics);
+        total.metrics.absorb(run.metrics);
+        total.slices_solved += run.slices_solved;
+        ++total.runs;
+        if (found) {
+          total.found = true;
+          total.witness = std::move(run.witness);
+          return Status();
+        }
+        if (!interrupt.ok()) return interrupt;
+        if (Status status = budget.check(total.metrics); !status.ok())
+          return status;
+      }
+      return Status();
+    };
+    return run_query<DecisionResult>(
+        options, require_connected(pattern, query), loop, admit);
+  }
 
-  void async_begin() {
-    const std::lock_guard<std::mutex> lock(async_mutex);
-    ++async_inflight;
-  }
-  void async_end() {
-    {
-      const std::lock_guard<std::mutex> lock(async_mutex);
-      --async_inflight;
-    }
-    async_done.notify_all();
-  }
-  void drain_async() {
-    std::unique_lock<std::mutex> lock(async_mutex);
-    async_done.wait(lock, [&] { return async_inflight == 0; });
+  /// list and count: run_query over the listing loop of Theorem 4.2, which
+  /// collects occurrences into `all` over fresh covers until the stopping
+  /// rule, the list limit, or an interruption ends it. `result` (a
+  /// ListingResult or CountResult) receives the iterations and metrics as
+  /// they accrue, so a contained failure still reports what was accounted;
+  /// `summarize(all, result)` then fills in the occurrences of every result
+  /// that has a value, partial ones included.
+  template <typename T, typename Summarize>
+  Result<T> run_listing(const char* query, const Pattern& pattern,
+                        const QueryOptions& options, Summarize summarize) {
+    std::set<Assignment> all;
+    const auto loop = [&](const detail::VersionState& ver,
+                          const Budget& budget, T& result) -> Status {
+      const double lgn =
+          std::log2(static_cast<double>(ver.graph.num_vertices()) + 2.0);
+      std::uint32_t streak = 0;
+      CoverKey key;
+      key.d = std::max(1u, pattern.diameter());
+      key.k = pattern.size();
+      key.version = ver.id;
+      while (all.size() < options.list_limit) {
+        const std::uint32_t j = ++result.iterations;
+        key.seed = support::hash_combine(options.seed, 0x11570 + j);
+        const CoverAccess access =
+            acquire_cover(ver, key, options.decomposition);
+        if (access.built_cover) result.metrics.absorb(access.cover->metrics);
+        const std::size_t before = all.size();
+        // The iteration stats meter the DP solve work (the dominant cost)
+        // into the listing's metrics so bench accounting and the max_work
+        // budget see it, not just the cover builds.
+        DecisionResult iteration;
+        Status interrupt;
+        solve_all_slices(*access.cover, *access.tds, pattern, options,
+                         budget, iteration, &all, options.list_limit,
+                         &interrupt);
+        result.metrics.absorb(iteration.metrics);
+        if (!interrupt.ok()) return interrupt;  // mid-cover preemption
+        streak = all.size() == before ? streak + 1 : 0;
+        // Observation 2 / Theorem 4.2: stop once no new occurrence appeared
+        // for log2(j) + Theta(log n) iterations in a row.
+        const auto threshold = static_cast<std::uint32_t>(
+            std::ceil(std::log2(static_cast<double>(j) + 1.0) + lgn)) +
+            options.stopping_slack;
+        if (streak >= threshold) return {};
+        if (Status status = budget.check(result.metrics); !status.ok())
+          return status;
+      }
+      return {StatusCode::kListLimitReached,
+              "listing stopped at QueryOptions::list_limit; the occurrence "
+              "set may be incomplete"};
+    };
+    Result<T> out =
+        run_query<T>(options, require_connected(pattern, query), loop);
+    if (out.has_value()) summarize(all, *out);
+    return out;
   }
 };
-
-namespace {
-
-Status require_connected(const Pattern& pattern, const char* query) {
-  if (pattern.is_connected()) return Status::Ok();
-  return Status::InvalidPattern(std::string(query) +
-                                ": connected pattern required "
-                                "(use find_disconnected)");
-}
-
-}  // namespace
 
 Solver::Solver(Graph target) : impl_(std::make_unique<Impl>()) {
   impl_->install_initial(std::move(target), std::nullopt);
@@ -965,10 +1158,7 @@ Solver::Solver(planar::EmbeddedGraph target) : impl_(std::make_unique<Impl>()) {
   impl_->install_initial(std::move(graph), std::move(target));
 }
 
-Solver::~Solver() {
-  // Detached async queries reference this Solver; never die under them.
-  if (impl_) impl_->drain_async();
-}
+Solver::~Solver() = default;
 Solver::Solver(Solver&&) noexcept = default;
 Solver& Solver::operator=(Solver&&) noexcept = default;
 
@@ -1044,439 +1234,110 @@ Result<TargetVersion> Solver::insert_vertex() {
 
 Result<DecisionResult> Solver::find(const iso::Pattern& pattern,
                                     const QueryOptions& options) {
-  if (Status status = validate(options); !status.ok()) return status;
-  if (Status status = require_connected(pattern, "find"); !status.ok())
-    return status;
-  Impl::Snapshot snap;
-  if (Status status = impl_->pin(options.at, &snap); !status.ok())
-    return status;
-  const detail::VersionState& ver = *snap;
-  const Budget budget(options);
-  DecisionResult total;
-  // Entry check: a pre-cancelled token or pre-expired deadline returns
-  // before any cover is built or solved (runs == 0, empty partial result).
-  if (Status status = budget.check(total.metrics); !status.ok())
-    return {std::move(status), std::move(total)};
-  if (ver.graph.num_vertices() < pattern.size()) return total;
-  const std::uint32_t runs = options.max_runs > 0
-                                 ? options.max_runs
-                                 : default_runs(ver.graph.num_vertices());
-  // Containment boundary: an exception from the run loop (internal
-  // invariant, allocation failure, injected fault — surfaced by
-  // Scheduler::run / parallel_for on this thread) resolves to
-  // kInternal/kResourceExhausted carrying the runs accounted so far; the
-  // Solver, its cache, and the version ledger stay consistent (every
-  // mutation below is lock-guarded and ordered build-then-publish).
-  try {
-    for (std::uint32_t r = 0; r < runs; ++r) {
-      Status interrupt;
-      DecisionResult one = impl_->run_once_cached(
-          ver, pattern, support::hash_combine(options.seed, r), options,
-          budget, &interrupt);
-      total.metrics.absorb(one.metrics);
-      total.slices_solved += one.slices_solved;
-      ++total.runs;
-      if (one.found) {
-        total.found = true;
-        total.witness = std::move(one.witness);
-        return total;
-      }
-      // Mid-cover preemption first (it carries the precise cause), then the
-      // coarse between-runs budget check.
-      if (!interrupt.ok()) return {std::move(interrupt), std::move(total)};
-      if (Status status = budget.check(total.metrics); !status.ok())
-        return {std::move(status), std::move(total)};
-    }
-  } catch (...) {
-    return {contained_status(), std::move(total)};
-  }
-  return total;
+  return impl_->run_covers(
+      "find", pattern, options, CoverKey{}, options.max_runs,
+      [&](std::uint32_t r) { return support::hash_combine(options.seed, r); });
 }
 
 Result<DecisionResult> Solver::find_once(const iso::Pattern& pattern,
                                          std::uint64_t run_seed,
                                          const QueryOptions& options) {
-  if (Status status = validate(options); !status.ok()) return status;
-  Impl::Snapshot snap;
-  if (Status status = impl_->pin(options.at, &snap); !status.ok())
-    return status;
-  const Budget budget(options);
-  if (Status status = budget.check({}); !status.ok())
-    return {std::move(status), DecisionResult{}};
-  Status interrupt;
-  DecisionResult one;
-  try {
-    one = impl_->run_once_cached(*snap, pattern, run_seed, options, budget,
-                                 &interrupt);
-  } catch (...) {
-    return {contained_status(), std::move(one)};
-  }
-  if (!interrupt.ok()) return {std::move(interrupt), std::move(one)};
-  return one;
+  return impl_->run_covers("find_once", pattern, options, CoverKey{}, 1,
+                           [&](std::uint32_t) { return run_seed; });
 }
 
 Result<ListingResult> Solver::list(const iso::Pattern& pattern,
                                    const QueryOptions& options) {
-  if (Status status = validate(options); !status.ok()) return status;
-  if (Status status = require_connected(pattern, "list"); !status.ok())
-    return status;
-  Impl::Snapshot snap;
-  if (Status status = impl_->pin(options.at, &snap); !status.ok())
-    return status;
-  const detail::VersionState& ver = *snap;
-  const Budget budget(options);
-  ListingResult result;
-  if (Status status = budget.check(result.metrics); !status.ok())
-    return {std::move(status), std::move(result)};
-  std::set<Assignment> all;
-  const double lgn =
-      std::log2(static_cast<double>(ver.graph.num_vertices()) + 2.0);
-  std::uint32_t streak = 0;
-  std::uint32_t j = 0;
-  const std::uint32_t d = std::max(1u, pattern.diameter());
-  Status interrupted;
-  try {
-    while (all.size() < options.list_limit) {
-      ++j;
-      CoverKey key;
-      key.d = d;
-      key.k = pattern.size();
-      key.seed = support::hash_combine(options.seed, 0x11570 + j);
-      key.version = ver.id;
-      const CoverAccess access =
-          impl_->acquire_cover(ver, key, options.decomposition);
-      if (access.built_cover) result.metrics.absorb(access.cover->metrics);
-      const std::size_t before = all.size();
-      // The iteration stats meter the DP solve work (the dominant cost)
-      // into the listing's metrics so bench accounting and the max_work
-      // budget see it, not just the cover builds.
-      DecisionResult iteration;
-      solve_cover(*access.cover, *access.tds, pattern, options, budget,
-                  &iteration, &all, options.list_limit, &interrupted);
-      result.metrics.absorb(iteration.metrics);
-      if (!interrupted.ok()) break;  // mid-cover preemption (token/deadline)
-      streak = all.size() == before ? streak + 1 : 0;
-      // Observation 2 / Theorem 4.2: stop once no new occurrence appeared
-      // for log2(j) + Theta(log n) iterations in a row.
-      const auto threshold = static_cast<std::uint32_t>(
-          std::ceil(std::log2(static_cast<double>(j) + 1.0) + lgn)) +
-          options.stopping_slack;
-      if (streak >= threshold) break;
-      if (interrupted = budget.check(result.metrics); !interrupted.ok()) break;
-    }
-  } catch (...) {
-    result.iterations = j;
-    result.occurrences.assign(all.begin(), all.end());
-    return {contained_status(), std::move(result)};
-  }
-  result.iterations = j;
-  result.occurrences.assign(all.begin(), all.end());
-  if (!interrupted.ok()) return {std::move(interrupted), std::move(result)};
-  if (all.size() >= options.list_limit)
-    return {Status(StatusCode::kListLimitReached,
-                   "listing stopped at QueryOptions::list_limit; the "
-                   "occurrence set may be incomplete"),
-            std::move(result)};
-  return result;
+  return impl_->run_listing<ListingResult>(
+      "list", pattern, options,
+      [](const std::set<Assignment>& all, ListingResult& result) {
+        result.occurrences.assign(all.begin(), all.end());
+      });
 }
 
 Result<CountResult> Solver::count(const iso::Pattern& pattern,
                                   const QueryOptions& options) {
-  Result<ListingResult> listing = list(pattern, options);
-  if (!listing.has_value()) return listing.status();
-  CountResult count;
-  count.assignments = listing->occurrences.size();
-  count.iterations = listing->iterations;
-  count.metrics = listing->metrics;
-  // Distinct subgraphs: dedupe by the sorted list of edge images.
-  try {
-    std::set<std::vector<std::uint64_t>> images;
-    for (const Assignment& a : listing->occurrences) {
-      std::vector<std::uint64_t> edges;
-      for (Vertex u = 0; u < pattern.size(); ++u) {
-        for (Vertex v : pattern.graph().neighbors(u)) {
-          if (v < u) continue;
-          const Vertex x = std::min(a[u], a[v]);
-          const Vertex y = std::max(a[u], a[v]);
-          edges.push_back((static_cast<std::uint64_t>(x) << 32) | y);
+  return impl_->run_listing<CountResult>(
+      "count", pattern, options,
+      [&](const std::set<Assignment>& all, CountResult& result) {
+        result.assignments = all.size();
+        // Distinct subgraphs: dedupe by the sorted list of edge images.
+        std::set<std::vector<std::uint64_t>> images;
+        for (const Assignment& a : all) {
+          std::vector<std::uint64_t> edges;
+          for (Vertex u = 0; u < pattern.size(); ++u) {
+            for (Vertex v : pattern.graph().neighbors(u)) {
+              if (v < u) continue;
+              const Vertex x = std::min(a[u], a[v]);
+              const Vertex y = std::max(a[u], a[v]);
+              edges.push_back((static_cast<std::uint64_t>(x) << 32) | y);
+            }
+          }
+          std::sort(edges.begin(), edges.end());
+          images.insert(std::move(edges));
         }
-      }
-      std::sort(edges.begin(), edges.end());
-      images.insert(std::move(edges));
-    }
-    count.subgraphs = images.size();
-  } catch (...) {
-    return {contained_status(), std::move(count)};
-  }
-  if (!listing.ok()) return {listing.status(), std::move(count)};
-  return count;
+        result.subgraphs = images.size();
+      });
 }
 
 Result<DecisionResult> Solver::find_disconnected(const iso::Pattern& pattern,
                                                  const QueryOptions& options) {
-  if (Status status = validate(options); !status.ok()) return status;
   const auto components = pattern.components();
   if (components.size() <= 1) return find(pattern, options);
-  Impl::Snapshot snap;
-  if (Status status = impl_->pin(options.at, &snap); !status.ok())
-    return status;
-  const Budget budget(options);
-  DecisionResult total;
-  if (Status status = budget.check(total.metrics); !status.ok())
-    return {std::move(status), std::move(total)};
-  const Graph& g = snap->graph;
-  if (g.num_vertices() < pattern.size()) return total;
-  const auto l = static_cast<std::uint32_t>(components.size());
-  // l^k attempts find a fixed occurrence with constant probability
-  // (Lemma 4.1); multiply by log n for w.h.p. (capped by max_runs).
-  double attempts_d = std::pow(static_cast<double>(l), pattern.size()) *
-                      (std::log2(static_cast<double>(g.num_vertices()) + 2.0));
-  if (options.max_runs > 0)
-    attempts_d = std::min(attempts_d, static_cast<double>(options.max_runs));
-  const auto attempts = static_cast<std::uint32_t>(std::min(attempts_d, 1e7));
-  // Component patterns and their back maps into the full pattern.
-  std::vector<Pattern> parts;
-  std::vector<std::vector<std::uint32_t>> back_maps;
-  for (const auto& comp : components) {
-    std::vector<std::uint32_t> back;
-    parts.push_back(pattern.component_pattern(comp, &back));
-    back_maps.push_back(std::move(back));
-  }
-  QueryOptions inner = options;
-  inner.max_runs = 3;  // constant success probability per correct coloring
-  inner.at = nullptr;  // sub-solvers have their own (single) version
-  try {
-  for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    ++total.runs;
-    support::Rng rng(support::hash_combine(options.seed, 0xd15c + attempt));
-    std::vector<Vertex> color(g.num_vertices());
-    for (Vertex v = 0; v < g.num_vertices(); ++v)
-      color[v] = static_cast<Vertex>(rng.next_below(l));
-    Assignment witness(pattern.size(), kNoVertex);
-    bool all_found = true;
-    for (std::uint32_t i = 0; i < parts.size(); ++i) {
-      std::vector<Vertex> members;
-      for (Vertex v = 0; v < g.num_vertices(); ++v)
-        if (color[v] == i) members.push_back(v);
-      if (members.size() < parts[i].size()) {
-        all_found = false;
-        break;
-      }
-      // Each coloring induces a fresh subgraph, so there is nothing to
-      // cache across attempts: an ephemeral sub-Solver matches the legacy
-      // behavior exactly.
-      DerivedGraph sub = induced_subgraph(g, members);
-      const std::vector<Vertex> origin_of = std::move(sub.origin_of);
-      inner.seed = support::hash_combine(options.seed, attempt * l + i);
-      // Sub-queries inherit whatever budget is left, so one component
-      // search cannot overshoot the caller's work/deadline bound.
-      inner.max_work = budget.remaining_work(total.metrics);
-      inner.deadline_seconds = budget.remaining_seconds();
-      Solver sub_solver(std::move(sub.graph));
-      const Result<DecisionResult> part = sub_solver.find(parts[i], inner);
-      total.metrics.absorb(part->metrics);
-      total.slices_solved += part->slices_solved;
-      if (!part.ok()) return {part.status(), std::move(total)};
-      if (!part->found) {
-        all_found = false;
-        break;
-      }
-      if (part->witness.has_value()) {
-        for (std::uint32_t v = 0; v < parts[i].size(); ++v)
-          witness[back_maps[i][v]] = origin_of[(*part->witness)[v]];
-      }
-    }
-    if (all_found) {
-      total.found = true;
-      if (!options.decision_only) total.witness = witness;
-      return total;
-    }
-    if (Status status = budget.check(total.metrics); !status.ok())
-      return {std::move(status), std::move(total)};
-  }
-  } catch (...) {
-    return {contained_status(), std::move(total)};
-  }
-  return total;
+  return impl_->run_query<DecisionResult>(
+      options, Status(),
+      [&](const detail::VersionState& ver, const Budget& budget,
+          DecisionResult& total) {
+        return find_components(ver, pattern, components, options, budget,
+                               total);
+      });
 }
 
 Result<DecisionResult> Solver::find_separating(
     const std::vector<std::uint8_t>& in_s, const iso::Pattern& pattern,
     const QueryOptions& options) {
-  if (Status status = validate(options); !status.ok()) return status;
-  if (Status status = require_connected(pattern, "find_separating");
-      !status.ok())
-    return status;
-  Impl::Snapshot snap;
-  if (Status status = impl_->pin(options.at, &snap); !status.ok())
-    return status;
-  const detail::VersionState& ver = *snap;
-  if (in_s.size() != ver.graph.num_vertices())
-    return Status::InvalidOptions(
-        "find_separating: in_s must mark every target vertex");
-  const Budget budget(options);
-  DecisionResult total;
-  if (Status status = budget.check(total.metrics); !status.ok())
-    return {std::move(status), std::move(total)};
-  if (ver.graph.num_vertices() < pattern.size()) return total;
-  const std::uint32_t runs = options.max_runs > 0
-                                 ? options.max_runs
-                                 : default_runs(ver.graph.num_vertices());
-  const std::uint32_t d = std::max(1u, pattern.diameter());
-  try {
-    for (std::uint32_t r = 0; r < runs; ++r) {
-      CoverKey key;
-      key.d = d;
-      key.k = pattern.size();
-      key.seed = support::hash_combine(options.seed, 0x5e9 + r);
-      key.separating = true;
-      key.in_s = in_s;
-      key.version = ver.id;
-      const CoverAccess access =
-          impl_->acquire_cover(ver, key, options.decomposition);
-      if (access.built_cover) total.metrics.absorb(access.cover->metrics);
-      ++total.runs;
-      Status interrupt;
-      DecisionResult one;
-      if (solve_cover(*access.cover, *access.tds, pattern, options, budget,
-                      &one, nullptr, 1, &interrupt)) {
-        total.found = true;
-        total.witness = std::move(one.witness);
-        total.metrics.absorb(one.metrics);
-        total.slices_solved += one.slices_solved;
-        return total;
-      }
-      total.metrics.absorb(one.metrics);
-      total.slices_solved += one.slices_solved;
-      if (!interrupt.ok()) return {std::move(interrupt), std::move(total)};
-      if (Status status = budget.check(total.metrics); !status.ok())
-        return {std::move(status), std::move(total)};
-    }
-  } catch (...) {
-    return {contained_status(), std::move(total)};
-  }
-  return total;
+  return impl_->run_covers(
+      "find_separating", pattern, options,
+      CoverKey{.separating = true, .in_s = in_s}, options.max_runs,
+      [&](std::uint32_t r) {
+        return support::hash_combine(options.seed, 0x5e9 + r);
+      },
+      [&](const detail::VersionState& ver) {
+        if (in_s.size() == ver.graph.num_vertices()) return Status();
+        return Status::InvalidOptions(
+            "find_separating: in_s must mark every target vertex");
+      });
 }
 
 Result<connectivity::VertexConnectivityResult> Solver::vertex_connectivity(
     const QueryOptions& options) {
-  using connectivity::VertexConnectivityResult;
-  if (Status status = validate(options); !status.ok()) return status;
-  Impl::Snapshot snap;
-  if (Status status = impl_->pin(options.at, &snap); !status.ok())
-    return status;
-  // Read the capacity before any fvg_mutex work (never nested under it).
-  std::size_t capacity;
-  {
-    const std::lock_guard<std::mutex> lock(impl_->cache_mutex);
-    capacity = impl_->cache_capacity;
-  }
-  if (!snap->embedding.has_value())
-    return Status::Unsupported(
-        "vertex_connectivity: this Solver was built without an embedding; "
-        "construct it from a planar::EmbeddedGraph");
-  const Budget budget(options);
-  VertexConnectivityResult result;
-  if (Status status = budget.check(result.metrics); !status.ok())
-    return {std::move(status), std::move(result)};
-  try {
-  const Graph& g = snap->graph;
-  const Vertex n = g.num_vertices();
-  if (n <= options.small_cutoff) {
-    const connectivity::FlowConnectivityResult flow =
-        connectivity::vertex_connectivity_flow(g);
-    result.connectivity = flow.connectivity;
-    result.witness_cut = flow.min_cut;
-    return result;
-  }
-  if (connected_components(g).count != 1) {
-    result.connectivity = 0;
-    return result;
-  }
-  const std::vector<Vertex> cuts = connectivity::articulation_points(g);
-  if (!cuts.empty()) {
-    result.connectivity = 1;
-    result.witness_cut = {cuts.front()};
-    return result;
-  }
-  // 2-connected: probe S-separating cycles in the face-vertex graph, which
-  // is built once per *version* and probed through a cached sub-Solver
-  // (its cover cache persists across vertex_connectivity calls, and a
-  // pinned query probes exactly the snapshot it pinned).
-  {
-    const std::lock_guard<std::mutex> lock(snap->fvg_mutex);
-    if (!snap->fvg_solver) {
-      const planar::FaceVertexGraph fvg =
-          planar::build_face_vertex_graph(*snap->embedding);
-      snap->fvg_num_original = fvg.num_original;
-      snap->fvg_in_s.assign(fvg.graph.num_vertices(), 0);
-      for (Vertex v = 0; v < fvg.num_original; ++v) snap->fvg_in_s[v] = 1;
-      snap->fvg_solver = std::make_unique<Solver>(fvg.graph);
-      snap->fvg_solver->set_cache_capacity(capacity);
-    }
-  }
-  QueryOptions probe = options;
-  probe.at = nullptr;  // the sub-solver has its own (single) version
-  for (std::uint32_t c = 2; c <= 4; ++c) {
-    const iso::Pattern cycle =
-        iso::Pattern::from_graph(gen::cycle_graph(2 * c));
-    probe.seed = support::hash_combine(options.seed, c);
-    // Each probe inherits whatever budget is left, so a single cycle probe
-    // (itself a full find_separating run loop) cannot overshoot it.
-    probe.max_work = budget.remaining_work(result.metrics);
-    probe.deadline_seconds = budget.remaining_seconds();
-    const Result<DecisionResult> probed =
-        snap->fvg_solver->find_separating(snap->fvg_in_s, cycle, probe);
-    result.metrics.absorb(probed->metrics);
-    result.cycle_runs += probed->runs;
-    if (!probed.ok()) return {probed.status(), std::move(result)};
-    if (probed->found) {
-      result.connectivity = c;
-      if (probed->witness.has_value()) {
-        for (const Vertex image : *probed->witness) {
-          if (image < snap->fvg_num_original)
-            result.witness_cut.push_back(image);
+  return impl_->run_query<connectivity::VertexConnectivityResult>(
+      options, Status(),
+      [&](const detail::VersionState& ver, const Budget& budget,
+          connectivity::VertexConnectivityResult& result) {
+        // Read the capacity before any fvg_mutex work (never nested under
+        // it).
+        std::size_t capacity;
+        {
+          const std::lock_guard<std::mutex> lock(impl_->cache_mutex);
+          capacity = impl_->cache_capacity;
         }
-        std::sort(result.witness_cut.begin(), result.witness_cut.end());
-        // Degenerate separating cycles (e.g. both faces of one edge on a
-        // 2-face graph) separate G' by exhausting the faces without the
-        // originals being a cut of G; verify and drop such witnesses.
-        // The connectivity *value* is unaffected (Lemma 5.1).
-        std::vector<Vertex> keep;
-        for (Vertex v = 0; v < g.num_vertices(); ++v) {
-          if (!std::binary_search(result.witness_cut.begin(),
-                                  result.witness_cut.end(), v)) {
-            keep.push_back(v);
-          }
-        }
-        if (keep.size() < 2 ||
-            connected_components(induced_subgraph(g, keep).graph).count < 2) {
-          result.witness_cut.clear();
-        }
-      }
-      return result;
-    }
-    if (Status status = budget.check(result.metrics); !status.ok())
-      return {std::move(status), std::move(result)};
-  }
-  // No separating C4/C6/C8: Euler's formula caps planar connectivity at 5.
-  result.connectivity = 5;
-  return result;
-  } catch (...) {
-    return {contained_status(), std::move(result)};
-  }
+        return probe_connectivity(ver, capacity, options, budget, result);
+      },
+      [](const detail::VersionState& ver) {
+        if (ver.embedding.has_value()) return Status();
+        return Status::Unsupported(
+            "vertex_connectivity: this Solver was built without an "
+            "embedding; construct it from a planar::EmbeddedGraph");
+      });
 }
 
 std::vector<Result<DecisionResult>> Solver::find_batch(
     std::span<const iso::Pattern> patterns, const QueryOptions& options) {
   std::vector<Result<DecisionResult>> out(patterns.size());
-  if (Status status = validate(options); !status.ok()) {
-    for (auto& slot : out) slot = status;
-    return out;
-  }
   // Pin once for the whole batch: every query runs against the same
-  // snapshot even if an edit commits mid-batch (per-query pin validation
-  // still happens inside find()).
+  // snapshot even if an edit commits mid-batch (option and pin validation
+  // happen inside each find()).
   const TargetVersion pinned =
       options.at != nullptr ? *options.at : current_version();
   QueryOptions inner = options;
@@ -1509,153 +1370,6 @@ std::vector<Result<DecisionResult>> Solver::find_batch(
     }
   }
   return out;
-}
-
-// The async entry points share one shape: validate the Admission, allocate
-// the rendezvous state, point the query's cancellation at its token (the
-// PendingResult owns the query's lifetime, so its token overrides any
-// caller-supplied one), and run the blocking twin detached on the serving
-// pool at the admission class's priority. Two deadlines with distinct
-// jobs: the Admission queueing deadline arms HERE, at submission — a query
-// it catches still waiting when a serving thread picks it up resolves to
-// kShed with zero work — while the relative QueryOptions execution
-// deadline arms inside the blocking call, i.e. when execution starts, so
-// queue time does not consume execution budget and admitted results stay
-// bit-identical to the blocking API. async_begin/async_end bracket the
-// detached query so ~Solver can drain.
-
-namespace {
-
-/// Already-resolved rejection handle (invalid Admission).
-template <typename T>
-PendingResult<T> rejected_async(Status status) {
-  auto shared = std::make_shared<detail::PendingShared<T>>();
-  shared->set(Result<T>(std::move(status)));
-  return PendingResult<T>(std::move(shared));
-}
-
-Status shed_status() {
-  return {StatusCode::kShed,
-          "Admission::deadline_seconds passed before execution started; "
-          "the query was shed without doing work"};
-}
-
-/// The armed queueing deadline of one detached query (unarmed when the
-/// admission has none), shared between submitter and serving thread.
-std::shared_ptr<support::DeadlineClock> queue_deadline(
-    const Admission& admission) {
-  auto clock = std::make_shared<support::DeadlineClock>();
-  if (admission.deadline_seconds > 0) clock->arm(admission.deadline_seconds);
-  return clock;
-}
-
-}  // namespace
-
-PendingResult<DecisionResult> Solver::find_async(iso::Pattern pattern,
-                                                 const QueryOptions& options,
-                                                 const Admission& admission) {
-  if (Status status = ppsi::validate(admission); !status.ok())
-    return rejected_async<DecisionResult>(std::move(status));
-  auto shared = std::make_shared<detail::PendingShared<DecisionResult>>();
-  QueryOptions opts = options;
-  opts.cancel = &shared->token;
-  // Pin at submit: an apply() landing while this query waits in the
-  // serving queue must not change what it sees (api/dynamic.hpp).
-  const TargetVersion pinned =
-      options.at != nullptr ? *options.at : current_version();
-  auto deadline = queue_deadline(admission);
-  impl_->async_begin();
-  Impl* impl = impl_.get();
-  support::Scheduler::submit(
-      [this, impl, shared, deadline, pattern = std::move(pattern), opts,
-       pinned] {
-        if (deadline->expired()) {
-          shared->set(Result<DecisionResult>(shed_status(), DecisionResult{}));
-        } else {
-          QueryOptions exec = opts;
-          exec.at = &pinned;
-          // Serving-thread backstop: the handle must resolve even if the
-          // query throws past its own containment (e.g. out of the entry
-          // validation), or the waiter deadlocks and ~Solver never drains.
-          try {
-            shared->set(find(pattern, exec));
-          } catch (...) {
-            shared->set(
-                Result<DecisionResult>(contained_status(), DecisionResult{}));
-          }
-        }
-        impl->async_end();
-      },
-      static_cast<int>(admission.priority));
-  return PendingResult<DecisionResult>(std::move(shared));
-}
-
-PendingResult<ListingResult> Solver::list_async(iso::Pattern pattern,
-                                                const QueryOptions& options,
-                                                const Admission& admission) {
-  if (Status status = ppsi::validate(admission); !status.ok())
-    return rejected_async<ListingResult>(std::move(status));
-  auto shared = std::make_shared<detail::PendingShared<ListingResult>>();
-  QueryOptions opts = options;
-  opts.cancel = &shared->token;
-  const TargetVersion pinned =
-      options.at != nullptr ? *options.at : current_version();
-  auto deadline = queue_deadline(admission);
-  impl_->async_begin();
-  Impl* impl = impl_.get();
-  support::Scheduler::submit(
-      [this, impl, shared, deadline, pattern = std::move(pattern), opts,
-       pinned] {
-        if (deadline->expired()) {
-          shared->set(Result<ListingResult>(shed_status(), ListingResult{}));
-        } else {
-          QueryOptions exec = opts;
-          exec.at = &pinned;
-          try {
-            shared->set(list(pattern, exec));
-          } catch (...) {
-            shared->set(
-                Result<ListingResult>(contained_status(), ListingResult{}));
-          }
-        }
-        impl->async_end();
-      },
-      static_cast<int>(admission.priority));
-  return PendingResult<ListingResult>(std::move(shared));
-}
-
-PendingResult<CountResult> Solver::count_async(iso::Pattern pattern,
-                                               const QueryOptions& options,
-                                               const Admission& admission) {
-  if (Status status = ppsi::validate(admission); !status.ok())
-    return rejected_async<CountResult>(std::move(status));
-  auto shared = std::make_shared<detail::PendingShared<CountResult>>();
-  QueryOptions opts = options;
-  opts.cancel = &shared->token;
-  const TargetVersion pinned =
-      options.at != nullptr ? *options.at : current_version();
-  auto deadline = queue_deadline(admission);
-  impl_->async_begin();
-  Impl* impl = impl_.get();
-  support::Scheduler::submit(
-      [this, impl, shared, deadline, pattern = std::move(pattern), opts,
-       pinned] {
-        if (deadline->expired()) {
-          shared->set(Result<CountResult>(shed_status(), CountResult{}));
-        } else {
-          QueryOptions exec = opts;
-          exec.at = &pinned;
-          try {
-            shared->set(count(pattern, exec));
-          } catch (...) {
-            shared->set(
-                Result<CountResult>(contained_status(), CountResult{}));
-          }
-        }
-        impl->async_end();
-      },
-      static_cast<int>(admission.priority));
-  return PendingResult<CountResult>(std::move(shared));
 }
 
 namespace {
@@ -1718,14 +1432,7 @@ void Solver::set_cache_capacity(std::size_t max_covers) {
     const std::lock_guard<std::mutex> lock(impl_->cache_mutex);
     impl_->cache_capacity = max_covers;
     // Shrink immediately if the cache already exceeds the new bound.
-    while (max_covers > 0 && impl_->covers.size() > max_covers) {
-      auto victim = impl_->covers.begin();
-      for (auto it = impl_->covers.begin(); it != impl_->covers.end(); ++it) {
-        if (it->second->last_used < victim->second->last_used) victim = it;
-      }
-      impl_->covers.erase(victim);
-      impl_->evictions.fetch_add(1, std::memory_order_relaxed);
-    }
+    impl_->evict_lru_locked(nullptr);
   }
   for (const Impl::Snapshot& snap : impl_->live_snapshots()) {
     const std::lock_guard<std::mutex> lock(snap->fvg_mutex);

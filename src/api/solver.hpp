@@ -19,14 +19,14 @@
 // validated eagerly; limit/budget/deadline interruptions return a non-ok
 // status carrying the partial result. Concurrent queries on one Solver are
 // safe — find_batch fans out over OMP tasks against the shared cache.
+// Queries block; asynchronous callers submit through a SolverPool
+// (api/solver_pool.hpp), one target or many.
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "api/admission.hpp"
-#include "api/pending.hpp"
 #include "api/status.hpp"
 #include "connectivity/vertex_connectivity.hpp"
 #include "cover/pipeline.hpp"
@@ -44,8 +44,7 @@ class TargetVersion;
 class MutableTarget;
 struct EditScript;
 
-/// One validated option set for every Solver query (superset of
-/// cover::PipelineOptions, the shared pipeline vocabulary).
+/// One validated option set for every Solver query.
 struct QueryOptions {
   std::uint64_t seed = 1;
   /// Cover repetitions for a w.h.p. negative answer; 0 = 2 log2(n) + 4.
@@ -85,8 +84,8 @@ struct QueryOptions {
   /// Optional cooperative cancellation token (borrowed; must outlive the
   /// query). Once token->cancel() is called the query stops at the same
   /// checkpoints the deadline uses and returns kCancelled carrying the
-  /// partial result. The *_async queries install their PendingResult's
-  /// own token here, overriding any caller-supplied one.
+  /// partial result. SolverPool installs its PendingResult's own token
+  /// here, overriding any caller-supplied one.
   const support::CancelToken* cancel = nullptr;
   /// Serving-layer suspend/resume gate (borrowed; must outlive the query).
   /// Set by SolverPool on the queries it dispatches, not by callers: when
@@ -97,9 +96,9 @@ struct QueryOptions {
   /// Pins the query to this committed snapshot (api/dynamic.hpp) instead of
   /// the Solver's current version. Borrowed; must outlive the query and
   /// must come from the same Solver. Null = the version current when the
-  /// query starts. The *_async entry points and the SolverPool capture the
-  /// pinned version at *submit* time, so a later apply() never changes what
-  /// an already-submitted query sees.
+  /// query starts. SolverPool captures the pinned version at *submit*
+  /// time, so a later apply() never changes what an already-submitted
+  /// query sees.
   const TargetVersion* at = nullptr;
   /// Decision queries only: skip witness recovery and free each solved DP
   /// node as soon as its parent has consumed it, so a query's peak memory
@@ -114,7 +113,9 @@ struct QueryOptions {
 /// it. See Solver::set_cache_capacity.
 inline constexpr std::size_t kDefaultCacheCapacity = 256;
 
-/// Eager validation; every Solver query calls this first.
+/// Eager validation; every Solver query calls this first. Rejects a zero
+/// list_limit, a stopping_slack above cover::kMaxStoppingSlack, unknown
+/// engine or decomposition kinds, and a negative or NaN deadline.
 Status validate(const QueryOptions& options);
 
 /// Cache observability (cumulative since construction / clear_cache()).
@@ -233,38 +234,6 @@ class Solver {
   std::vector<Result<cover::DecisionResult>> find_batch(
       std::span<const iso::Pattern> patterns,
       const QueryOptions& options = {});
-
-  // ---- Asynchronous serving API ----
-  //
-  // Each *_async query returns immediately; the query runs detached on the
-  // shared serving pool (support::Scheduler::submit) and fulfills the
-  // PendingResult exactly once with the same Result<T> its blocking twin
-  // would have produced — results and work counters are bit-identical
-  // (pinned by tests/differential/test_differential_async.cpp). The
-  // relative deadline (deadline_seconds) starts when the query begins
-  // executing, not when it is enqueued. PendingResult::cancel() requests
-  // cooperative cancellation (see QueryOptions::cancel). The Solver must
-  // not be moved while async queries are pending; the destructor drains
-  // them (cancel first for a prompt exit).
-  //
-  // The Admission argument (api/admission.hpp) classes the query for the
-  // serving threads: its priority orders dispatch against other detached
-  // queries, and a query whose Admission::deadline_seconds passes before
-  // execution starts resolves to kShed with zero accounted work. The
-  // default Admission reproduces the old FIFO behavior exactly.
-
-  /// Asynchronous find (patterns are copied into the detached query).
-  PendingResult<cover::DecisionResult> find_async(
-      iso::Pattern pattern, const QueryOptions& options = {},
-      const Admission& admission = {});
-  /// Asynchronous list.
-  PendingResult<cover::ListingResult> list_async(
-      iso::Pattern pattern, const QueryOptions& options = {},
-      const Admission& admission = {});
-  /// Asynchronous count.
-  PendingResult<cover::CountResult> count_async(
-      iso::Pattern pattern, const QueryOptions& options = {},
-      const Admission& admission = {});
 
   /// Aggregated over this solver and the face-vertex sub-solvers of every
   /// version, including (via the version ledger) already-reclaimed ones.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -18,9 +19,40 @@
 
 namespace ppsi {
 
-namespace {
+const char* to_string(Priority priority) {
+  switch (priority) {
+    case Priority::kBulk: return "bulk";
+    case Priority::kNormal: return "normal";
+    case Priority::kInteractive: return "interactive";
+  }
+  return "unknown";
+}
 
-using SteadyClock = std::chrono::steady_clock;
+Status validate(const Admission& admission) {
+  switch (admission.priority) {
+    case Priority::kBulk:
+    case Priority::kNormal:
+    case Priority::kInteractive:
+      break;
+    default:
+      return Status::InvalidOptions("Admission::priority: unknown class");
+  }
+  if (!(admission.deadline_seconds >= 0) ||
+      !std::isfinite(admission.deadline_seconds))
+    return Status::InvalidOptions(
+        "Admission::deadline_seconds must be non-negative and finite "
+        "(0 disables shedding)");
+  if (!(admission.tenant_weight > 0) || !std::isfinite(admission.tenant_weight))
+    return Status::InvalidOptions(
+        "Admission::tenant_weight must be positive and finite");
+  if (!(admission.retry_backoff_seconds >= 0) ||
+      !std::isfinite(admission.retry_backoff_seconds))
+    return Status::InvalidOptions(
+        "Admission::retry_backoff_seconds must be non-negative and finite");
+  return Status::Ok();
+}
+
+namespace {
 
 /// One queued query, type-erased. `run` executes the query (or, when its
 /// token was cancelled while queued, builds the kCancelled short-circuit)
@@ -59,9 +91,9 @@ struct Queued {
   Priority priority = Priority::kNormal;
   double weight = 1.0;
   std::uint64_t seq = 0;  ///< submission order (FIFO tiebreak)
-  bool has_deadline = false;
-  SteadyClock::time_point deadline_at{};  ///< EDF key; shed once passed
-  bool deadline_passed_at_submit = false;
+  /// Armed at submission when the admission has a deadline: the EDF key,
+  /// shed once expired.
+  support::DeadlineClock deadline;
 };
 
 /// One running (or parked) query's bookkeeping. The gate outlives the
@@ -172,12 +204,13 @@ struct SolverPool::Impl {
         if (charge_a < charge_b) best = i;
         continue;
       }
-      if (a.has_deadline != b.has_deadline) {
-        if (a.has_deadline) best = i;  // deadlined before open-ended
+      if (a.deadline.armed() != b.deadline.armed()) {
+        if (a.deadline.armed()) best = i;  // deadlined before open-ended
         continue;
       }
-      if (a.has_deadline && a.deadline_at != b.deadline_at) {
-        if (a.deadline_at < b.deadline_at) best = i;
+      if (a.deadline.armed() &&
+          a.deadline.expires_at() != b.deadline.expires_at()) {
+        if (a.deadline.expires_at() < b.deadline.expires_at()) best = i;
         continue;
       }
       if (a.seq < b.seq) best = i;
@@ -204,12 +237,9 @@ struct SolverPool::Impl {
   /// completion: counters first, then the handle, then the cv.
   void shed_expired_locked() {
     if (!priority_policy() || shutting_down) return;
-    const auto now = SteadyClock::now();
     for (std::size_t i = 0; i < queue.size();) {
       Queued& q = queue[i];
-      const bool expired =
-          q.has_deadline && (q.deadline_passed_at_submit || now >= q.deadline_at);
-      if (!expired || q.job.cancelled()) {
+      if (!q.deadline.expired() || q.job.cancelled()) {
         ++i;
         continue;
       }
@@ -414,18 +444,10 @@ struct SolverPool::Impl {
     entry.tenant = tenant;
     entry.priority = admission.priority;
     entry.weight = admission.tenant_weight;
-    if (admission.deadline_seconds > 0) {
-      entry.has_deadline = true;
-      const auto duration =
-          std::chrono::duration_cast<SteadyClock::duration>(
-              std::chrono::duration<double>(admission.deadline_seconds));
-      entry.deadline_at = SteadyClock::now() + duration;
-      // A deadline of exactly "now" (sub-tick duration) sheds
-      // deterministically, independent of the clock advancing between
-      // submit and dispatch (mirrors DeadlineClock's expired-at-arm rule).
-      entry.deadline_passed_at_submit =
-          duration <= SteadyClock::duration::zero();
-    }
+    // A sub-tick deadline sheds deterministically (DeadlineClock's
+    // expired-at-arm rule); one beyond the clock's range never sheds.
+    if (admission.deadline_seconds > 0)
+      entry.deadline.arm(admission.deadline_seconds);
     entry.job.cancel = [shared] { shared->token.cancel(); };
     entry.job.cancelled = [shared] { return shared->token.cancelled(); };
     entry.job.shed_publish = [shared] {
@@ -517,6 +539,14 @@ struct SolverPool::Impl {
     return PendingResult<T>(std::move(shared));
   }
 
+  TargetId add(std::unique_ptr<Solver> solver) {
+    solver->set_cache_capacity(options.cache_capacity_per_target);
+    const std::lock_guard<std::mutex> lock(mutex);
+    targets.push_back(std::move(solver));
+    tenant_charge.push_back(0.0);
+    return static_cast<TargetId>(targets.size() - 1);
+  }
+
   Solver* shard(TargetId id) {
     const std::lock_guard<std::mutex> lock(mutex);
     if (id >= targets.size()) return nullptr;
@@ -547,21 +577,11 @@ SolverPool::~SolverPool() {
 }
 
 TargetId SolverPool::add_target(Graph target) {
-  auto solver = std::make_unique<Solver>(std::move(target));
-  solver->set_cache_capacity(impl_->options.cache_capacity_per_target);
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->targets.push_back(std::move(solver));
-  impl_->tenant_charge.push_back(0.0);
-  return static_cast<TargetId>(impl_->targets.size() - 1);
+  return impl_->add(std::make_unique<Solver>(std::move(target)));
 }
 
 TargetId SolverPool::add_target(planar::EmbeddedGraph target) {
-  auto solver = std::make_unique<Solver>(std::move(target));
-  solver->set_cache_capacity(impl_->options.cache_capacity_per_target);
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->targets.push_back(std::move(solver));
-  impl_->tenant_charge.push_back(0.0);
-  return static_cast<TargetId>(impl_->targets.size() - 1);
+  return impl_->add(std::make_unique<Solver>(std::move(target)));
 }
 
 std::size_t SolverPool::num_targets() const {

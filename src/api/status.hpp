@@ -9,8 +9,9 @@
 //   * interruptions (listing cap, work budget, deadline, cancellation)
 //     carry the partial result computed so far, so callers can decide
 //     whether a truncated answer is still useful.
-// This replaces the legacy mix of asserts, exceptions, and silent defaults
-// in the free-function API (cover/pipeline.hpp).
+// Every blocking query funnels through one skeleton (validate, input
+// checks, version pin, budget entry check, one containment boundary), so
+// the taxonomy below applies uniformly.
 
 #include <optional>
 #include <string>
@@ -20,7 +21,7 @@ namespace ppsi {
 
 enum class StatusCode {
   kOk = 0,
-  /// QueryOptions (or legacy PipelineOptions) failed validation.
+  /// QueryOptions (or an Admission) failed validation.
   kInvalidOptions,
   /// The pattern is unusable for this query (e.g. disconnected pattern
   /// passed to a connected-only driver, or larger than kMaxPatternSize).
@@ -43,7 +44,7 @@ enum class StatusCode {
   /// Load shedding: the query's Admission::deadline_seconds had already
   /// passed when the serving layer would have started it, so it completed
   /// immediately with an empty value and zero accounted work instead of
-  /// being admitted. Only *_async / SolverPool queries can shed.
+  /// being admitted. Only SolverPool queries can shed.
   kShed,
   /// An exception escaped the query's execution (an internal invariant
   /// fired, or a fault was injected) and was contained at the query
@@ -108,7 +109,7 @@ class Status {
 /// std::bad_alloc -> kResourceExhausted, anything else -> kInternal (the
 /// message carries e.what(), e.g. an InjectedFault's point name). Must be
 /// called from inside a catch block; every thread-boundary containment
-/// site (Solver queries, async submissions, SolverPool jobs) funnels
+/// site (Solver queries, find_batch, SolverPool jobs) funnels
 /// through it so the status taxonomy stays uniform.
 Status contained_status();
 

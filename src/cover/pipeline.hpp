@@ -1,14 +1,10 @@
 #pragma once
 
-// Shared option/result vocabulary of the paper's pipeline (§2, §4, §5.2):
-// the engine and decomposition kinds, the per-query knobs every driver
-// validates the same way, and the Decision/Listing/Count result structs.
-// ppsi::Solver (api/solver.hpp) is the only query surface — the legacy
-// free-function drivers (find_pattern & co) that used to live here were
-// deprecated shims over a temporary Solver and have been removed; construct
-// one Solver per target and reuse it so repeated queries hit its cover
-// cache. QueryOptions (the Solver superset of PipelineOptions) funnels
-// through validate_options below, which keeps the bounds in one place.
+// Shared vocabulary of the paper's pipeline (§2, §4, §5.2): the engine and
+// decomposition kinds and the Decision/Listing/Count result structs.
+// ppsi::Solver (api/solver.hpp) is the only query surface; its
+// QueryOptions carries the per-query knobs and validate(QueryOptions)
+// keeps their bounds in one place.
 
 #include <cstdint>
 #include <optional>
@@ -34,31 +30,10 @@ enum class DecompositionKind {
   kBfsLayer,
 };
 
-struct PipelineOptions {
-  std::uint64_t seed = 1;
-  /// Cover repetitions for a w.h.p. negative answer; 0 = 2 log2(n) + 4.
-  std::uint32_t max_runs = 0;
-  EngineKind engine = EngineKind::kSparse;
-  DecompositionKind decomposition = DecompositionKind::kGreedyMinDegree;
-  bool use_shortcuts = true;
-  /// Listing cap (safety valve; the stopping rule normally ends earlier).
-  /// Must be positive.
-  std::size_t list_limit = 1u << 22;
-  /// Extra additive constant of the stopping-rule streak; at most
-  /// kMaxStoppingSlack.
-  std::uint32_t stopping_slack = 4;
-};
-
-/// Upper bound on PipelineOptions/QueryOptions::stopping_slack: beyond this
-/// the streak threshold dwarfs any realistic iteration count and only burns
-/// cover runs, so larger values are treated as configuration mistakes.
+/// Upper bound on QueryOptions::stopping_slack: beyond this the streak
+/// threshold dwarfs any realistic iteration count and only burns cover
+/// runs, so larger values are treated as configuration mistakes.
 inline constexpr std::uint32_t kMaxStoppingSlack = 64;
-
-/// Eager option validation used by every Solver query: returns nullptr when
-/// valid, else a static message describing the first violation (zero
-/// list_limit, out-of-range stopping_slack, unknown engine/decomposition
-/// enum values).
-const char* validate_options(const PipelineOptions& options);
 
 struct DecisionResult {
   bool found = false;

@@ -62,6 +62,8 @@ class DeadlineClock {
  public:
   DeadlineClock() = default;
 
+  using Clock = std::chrono::steady_clock;
+
   /// Sets the deadline `seconds` from now. Call at most once, before the
   /// clock is shared with other threads. A duration that is zero (or
   /// rounds to zero in the clock's resolution — the deadline is exactly
@@ -69,14 +71,15 @@ class DeadlineClock {
   /// from the first poll, independent of whether the clock has advanced a
   /// tick between arm and poll.
   void arm(double seconds) {
-    const auto duration = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(seconds));
-    deadline_ = Clock::now() + duration;
-    expired_at_arm_ = duration <= Clock::duration::zero();
+    const Clock::time_point now = Clock::now();
+    deadline_ = after(now, seconds);
+    expired_at_arm_ = deadline_ <= now;
     armed_ = true;
   }
 
   bool armed() const { return armed_; }
+  /// The armed deadline (time_point::max() when it never expires).
+  Clock::time_point expires_at() const { return deadline_; }
   bool expired() const {
     return armed_ && (expired_at_arm_ || Clock::now() >= deadline_);
   }
@@ -87,10 +90,7 @@ class DeadlineClock {
   /// thread while no other thread polls the clock (the parked query's
   /// checkpoints are all quiescent between slice rounds). A clock that
   /// expired at arm stays expired — there was never time to give back.
-  void extend(double seconds) {
-    deadline_ += std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(seconds));
-  }
+  void extend(double seconds) { deadline_ = after(deadline_, seconds); }
 
   /// Seconds until expiry (negative once expired); +inf when unarmed.
   double remaining_seconds() const {
@@ -100,7 +100,19 @@ class DeadlineClock {
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
+  /// `from` plus `seconds` (truncated to the clock's resolution),
+  /// saturating at the end of the clock's range: a deadline beyond it
+  /// (e.g. 1e12 s or +inf) never expires instead of overflowing into the
+  /// past.
+  static Clock::time_point after(Clock::time_point from, double seconds) {
+    const Clock::duration room = Clock::time_point::max() - from;
+    if (!(std::chrono::duration<double>(seconds) < room))
+      return Clock::time_point::max();
+    const auto step = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(seconds));
+    return step < room ? from + step : Clock::time_point::max();
+  }
+
   Clock::time_point deadline_{};
   bool armed_ = false;
   bool expired_at_arm_ = false;  ///< written with armed_, read-only after

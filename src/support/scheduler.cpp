@@ -285,8 +285,8 @@ class ServingPool {
       }
       // Last-resort backstop: an exception escaping a detached serving
       // thread is std::terminate. Every submitted job resolves its own
-      // PendingResult handle and contains its own failures (Solver's
-      // *_async paths); anything reaching here has already been reported,
+      // PendingResult handle and contains its own failures (SolverPool's
+      // jobs); anything reaching here has already been reported,
       // so swallowing keeps the worker alive for the next job.
       try {
         job();

@@ -1,10 +1,10 @@
 // Differential test: the asynchronous serving layer returns bit-identical
 // results to the blocking API.
 //
-// find_async runs the *same* blocking query on a serving thread, with the
-// deadline armed at execution start, so outputs, runs, slices_solved, and
-// the instrumented work/round counters must match Solver::find and
-// find_batch exactly. The blocking reference additionally sweeps
+// A SolverPool query runs the *same* blocking query on a serving thread,
+// with the deadline armed at execution start, so outputs, runs,
+// slices_solved, and the instrumented work/round counters must match
+// Solver::find and find_batch exactly, whatever the admission class. The blocking reference additionally sweeps
 // OMP_NUM_THREADS 1/2/4 in-process; the async queries execute at the
 // ambient thread count (serving threads inherit the environment), which
 // the omp1/omp4 ctest variants cover — determinism makes all of these the
@@ -89,10 +89,11 @@ TEST_P(AsyncDifferential, FindAsyncMatchesFindAndBatchAcrossThreadCounts) {
   opts.engine = cover::EngineKind::kParallel;
 
   // Async reference at the ambient thread count (the serving threads run
-  // their OMP teams with whatever the environment configured).
+  // their OMP teams with whatever the environment configured): a
+  // one-target pool at the default admission class.
   const FindCapture async = [&] {
-    Solver solver(g);
-    auto pending = solver.find_async(pattern, opts);
+    SolverPool pool;
+    auto pending = pool.find_async(pool.add_target(g), pattern, opts);
     return capture(pending.get());
   }();
 
@@ -118,9 +119,8 @@ TEST_P(AsyncDifferential, FindAsyncMatchesFindAndBatchAcrossThreadCounts) {
     expect_same_find(async, capture(batch[0]), context + " batch");
   }
 
-  // The pool admission path wraps the same query; same numbers. The
-  // admission class cycles with the seed: the policy engine may reorder or
-  // park queries but must never change what one computes.
+  // The admission class cycles with the seed: the policy engine may
+  // reorder or park queries but must never change what one computes.
   {
     SolverPool pool;
     const TargetId id = pool.add_target(g);
@@ -149,8 +149,8 @@ TEST_P(AsyncDifferential, ListAndCountAsyncMatchBlocking) {
   }();
   ASSERT_TRUE(blocking_list.ok()) << context;
 
-  Solver async_solver(g);
-  auto pending = async_solver.list_async(pattern, opts);
+  SolverPool list_pool;
+  auto pending = list_pool.list_async(list_pool.add_target(g), pattern, opts);
   const auto& alist = pending.get();
   ASSERT_TRUE(alist.ok()) << context;
   EXPECT_EQ(alist->occurrences, blocking_list->occurrences) << context;
@@ -164,8 +164,9 @@ TEST_P(AsyncDifferential, ListAndCountAsyncMatchBlocking) {
     return solver.count(pattern, opts);
   }();
   ASSERT_TRUE(blocking_count.ok()) << context;
-  Solver count_solver(g);
-  auto pending_count = count_solver.count_async(pattern, opts);
+  SolverPool count_pool;
+  auto pending_count =
+      count_pool.count_async(count_pool.add_target(g), pattern, opts);
   const auto& acount = pending_count.get();
   ASSERT_TRUE(acount.ok()) << context;
   EXPECT_EQ(acount->assignments, blocking_count->assignments) << context;

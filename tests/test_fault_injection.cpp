@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/solver.hpp"
+#include "api/solver_pool.hpp"
 #include "graph/generators.hpp"
 #include "support/arena.hpp"
 #include "support/fault.hpp"
@@ -260,21 +261,23 @@ TEST(FaultContainment, DecomposeFaultLeavesTheSlotEmptyAndRetryMatches) {
             reference.cache_stats().slices_rebuilt);
 }
 
-TEST(FaultContainment, SolverDestructorDrainsAsyncUnderFaults) {
+TEST(FaultContainment, PoolDestructorDrainsAsyncUnderFaults) {
   FaultPlan plan;
   plan.seed = 5;
   plan.rate = 4;
   plan.kind = FaultKind::kMixed;
   std::vector<PendingResult<cover::DecisionResult>> kept;
   {
-    // Faults keep firing while ~Solver drains the serving threads; every
-    // in-flight query — kept or abandoned — must still resolve its handle.
+    // Faults keep firing while ~SolverPool drains the serving threads;
+    // every submitted query — kept or abandoned — must still resolve its
+    // handle.
     const ScopedFaultPlan scoped(plan);
-    Solver solver(gen::grid_graph(10, 10));
+    SolverPool pool;
+    const TargetId id = pool.add_target(gen::grid_graph(10, 10));
     QueryOptions opts;
     opts.max_runs = 3;
     for (int i = 0; i < 6; ++i) {
-      auto pending = solver.find_async(cycle_pattern(5), opts);
+      auto pending = pool.find_async(id, cycle_pattern(5), opts);
       if (i % 2 == 0) kept.push_back(std::move(pending));
       // odd slots: abandoned immediately, possibly mid-failure
     }

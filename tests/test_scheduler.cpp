@@ -345,7 +345,7 @@ TEST(ServingPool, SubmittedTaskGraphRunsToCompletion) {
 
 TEST(ServingPool, SubmittedJobsCanOpenTheirOwnTaskGraphs) {
   // A serving thread is a plain thread: jobs on it run nested Scheduler
-  // work of their own (this is how *_async queries execute).
+  // work of their own (this is how SolverPool queries execute).
   std::mutex mutex;
   std::condition_variable done;
   int total = -1;

@@ -1,7 +1,8 @@
 // ppsi::Solver unit tests: eager option validation and the Status model,
 // budget/deadline interruption with partial results, the listing cap,
-// cover-cache observability (hits/misses/clear), find_batch, and the
-// asynchronous serving surface (PendingResult handles, Admission classing).
+// cover-cache observability (hits/misses/clear), find_batch, and
+// asynchronous use through a one-target SolverPool (PendingResult handles,
+// Admission classing).
 // Cache-state equivalence is covered by
 // tests/differential/test_differential_solver.cpp.
 
@@ -9,12 +10,14 @@
 
 #include <omp.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/budget.hpp"
 #include "api/solver.hpp"
+#include "api/solver_pool.hpp"
 #include "graph/generators.hpp"
 #include "support/cancel.hpp"
 
@@ -84,17 +87,61 @@ TEST(QueryOptionsValidation, QueriesRejectEagerly) {
   const std::vector<std::uint8_t> in_s(solver.target().num_vertices(), 1);
   EXPECT_EQ(solver.find_separating(in_s, c4, bad).status().code(),
             StatusCode::kInvalidOptions);
+  Solver embedded(gen::embedded_grid(4, 4));
+  EXPECT_EQ(embedded.vertex_connectivity(bad).status().code(),
+            StatusCode::kInvalidOptions);
+  EXPECT_EQ(solver.cache_stats().cover_misses, 0u);
+  EXPECT_EQ(embedded.cache_stats().cover_misses, 0u);
+
+  // Invalid patterns are rejected as eagerly, find_once included: two
+  // disjoint C4s are a disconnected pattern for every connected-only query.
+  Solver grid(gen::grid_graph(6, 6));
+  const Pattern two_c4 = Pattern::from_graph(
+      gen::disjoint_union({gen::cycle_graph(4), gen::cycle_graph(4)}));
+  EXPECT_EQ(grid.find(two_c4).status().code(), StatusCode::kInvalidPattern);
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const auto once = grid.find_once(two_c4, seed);
+    EXPECT_EQ(once.status().code(), StatusCode::kInvalidPattern) << seed;
+    EXPECT_FALSE(once.has_value()) << seed;
+  }
+  EXPECT_EQ(grid.list(two_c4).status().code(), StatusCode::kInvalidPattern);
+  EXPECT_EQ(grid.count(two_c4).status().code(), StatusCode::kInvalidPattern);
+  EXPECT_EQ(grid.cache_stats().cover_misses, 0u);
+}
+
+TEST(QueryOptionsValidation, PatternLargerThanTargetBuildsNoCover) {
+  // k > n: find and find_once answer "absent" from the entry checks alone,
+  // with no cover run and no work.
+  Solver solver(gen::grid_graph(2, 2));
+  const Pattern c6 = cycle_pattern(6);
+  const auto find = solver.find(c6);
+  ASSERT_TRUE(find.ok()) << find.status().to_string();
+  EXPECT_FALSE(find->found);
+  EXPECT_EQ(find->runs, 0u);
+  const auto once = solver.find_once(c6, 7);
+  ASSERT_TRUE(once.ok()) << once.status().to_string();
+  EXPECT_FALSE(once->found);
+  EXPECT_EQ(once->runs, 0u);
+  EXPECT_EQ(once->metrics.work(), 0u);
   EXPECT_EQ(solver.cache_stats().cover_misses, 0u);
 }
 
-TEST(QueryOptionsValidation, PipelineValidateOptionsFlagsViolations) {
-  // validate_options is the shared lower layer behind validate(): it keeps
-  // the C-string error channel the pipeline vocabulary uses.
-  cover::PipelineOptions bad;
-  bad.stopping_slack = cover::kMaxStoppingSlack + 1;
-  EXPECT_NE(cover::validate_options(bad), nullptr);
-  bad = {};
-  EXPECT_EQ(cover::validate_options(bad), nullptr);
+TEST(QueryOptionsValidation, InvalidPatternOutranksCancellation) {
+  // Status precedence: a rejection (here a disconnected pattern) is
+  // reported before the entry budget check sees the cancelled token.
+  Solver solver(gen::grid_graph(6, 6));
+  support::CancelToken token;
+  token.cancel();
+  QueryOptions opts;
+  opts.cancel = &token;
+  const Pattern two_c4 = Pattern::from_graph(
+      gen::disjoint_union({gen::cycle_graph(4), gen::cycle_graph(4)}));
+  EXPECT_EQ(solver.find(two_c4, opts).status().code(),
+            StatusCode::kInvalidPattern);
+  EXPECT_EQ(solver.find_once(two_c4, 3, opts).status().code(),
+            StatusCode::kInvalidPattern);
+  EXPECT_EQ(solver.list(two_c4, opts).status().code(),
+            StatusCode::kInvalidPattern);
 }
 
 TEST(SolverStatus, VertexConnectivityNeedsEmbedding) {
@@ -566,9 +613,11 @@ TEST(SolverStatus, DeadlinePreemptsMidCover) {
 }
 
 // ---------------------------------------------------------------------------
-// Asynchronous queries (Solver::*_async on the shared serving pool).
+// Asynchronous queries: a one-target SolverPool is the async surface of a
+// single Solver. Cancellation in every state, shedding and the destructor
+// drain are covered by tests/test_solver_pool.cpp.
 
-TEST(SolverAsync, FindAsyncMatchesBlockingFind) {
+TEST(OneTargetPool, FindMatchesBlockingFind) {
   // Fresh solver per measurement: cover-build metrics are charged only to
   // the query that built the cover, so a warm/cold mix would skew the
   // comparison.
@@ -581,8 +630,9 @@ TEST(SolverAsync, FindAsyncMatchesBlockingFind) {
   const auto blocking = blocking_solver.find(c4, opts);
   ASSERT_TRUE(blocking.ok());
 
-  Solver async_solver(g);
-  auto pending = async_solver.find_async(c4, opts);
+  SolverPool pool;
+  const TargetId id = pool.add_target(g);
+  auto pending = pool.find_async(id, c4, opts);
   ASSERT_TRUE(pending.valid());
   const auto& async = pending.get();
   ASSERT_TRUE(async.ok()) << async.status().to_string();
@@ -594,46 +644,7 @@ TEST(SolverAsync, FindAsyncMatchesBlockingFind) {
   EXPECT_EQ(async->metrics.rounds(), blocking->metrics.rounds());
 }
 
-TEST(SolverAsync, CancelAfterCompletionIsANoOp) {
-  Solver solver(gen::grid_graph(6, 6));
-  auto pending = solver.find_async(cycle_pattern(4));
-  ASSERT_TRUE(pending.get().ok());
-  const bool found = pending.get()->found;
-  pending.cancel();  // the stored result is never overwritten
-  EXPECT_TRUE(pending.get().ok());
-  EXPECT_EQ(pending.get()->found, found);
-}
-
-TEST(SolverAsync, CancelMidFlightResolvesToACleanStatus) {
-  Solver solver(gen::grid_graph(24, 24));
-  QueryOptions opts;
-  opts.max_runs = 8;
-  auto pending = solver.find_async(cycle_pattern(5), opts);
-  pending.cancel();
-  const auto& r = pending.get();
-  ASSERT_TRUE(r.has_value());
-  // Depending on scheduling the cancel lands before the query starts (no
-  // work at all), mid-cover (partial result), or after it already finished
-  // (a no-op); each outcome is legal, only the status set is pinned.
-  if (!r.ok()) {
-    EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-  }
-  EXPECT_FALSE(r->found);  // C5 is absent from the bipartite grid
-}
-
-TEST(SolverAsync, DestructorDrainsInFlightQueries) {
-  PendingResult<DecisionResult> pending;
-  {
-    Solver solver(gen::grid_graph(10, 10));
-    pending = solver.find_async(cycle_pattern(5));
-    // ~Solver blocks until the detached query released the internals.
-  }
-  ASSERT_TRUE(pending.valid());
-  EXPECT_TRUE(pending.ready());
-  EXPECT_TRUE(pending.get().has_value());
-}
-
-TEST(SolverAsync, ListAndCountAsyncMatchBlocking) {
+TEST(OneTargetPool, ListAndCountMatchBlocking) {
   const Graph g = gen::grid_graph(6, 6);
   const Pattern c4 = cycle_pattern(4);
   QueryOptions opts;
@@ -645,15 +656,16 @@ TEST(SolverAsync, ListAndCountAsyncMatchBlocking) {
   ASSERT_TRUE(list.ok());
   ASSERT_TRUE(count.ok());
 
-  Solver async_solver(g);
-  auto pending_list = async_solver.list_async(c4, opts);
+  SolverPool list_pool;
+  auto pending_list = list_pool.list_async(list_pool.add_target(g), c4, opts);
   const auto& alist = pending_list.get();
   ASSERT_TRUE(alist.ok());
   EXPECT_EQ(alist->occurrences, list->occurrences);
   EXPECT_EQ(alist->iterations, list->iterations);
 
-  Solver count_solver(g);
-  auto pending_count = count_solver.count_async(c4, opts);
+  SolverPool count_pool;
+  auto pending_count =
+      count_pool.count_async(count_pool.add_target(g), c4, opts);
   const auto& acount = pending_count.get();
   ASSERT_TRUE(acount.ok());
   EXPECT_EQ(acount->assignments, count->assignments);
@@ -708,6 +720,33 @@ TEST(BudgetBoundaries, EntryCheckShedsDueDeadlineBeforeAnyWork) {
   EXPECT_EQ(solver.cache_stats().cover_misses, 0u);
 }
 
+TEST(BudgetBoundaries, DeadlinesBeyondTheClockRangeNeverExpire) {
+  // 1e12 s and +inf overflow a nanosecond steady_clock duration; the clock
+  // saturates at the end of its range instead of wrapping into the past.
+  for (const double seconds :
+       {1e10, 1e12, std::numeric_limits<double>::infinity()}) {
+    support::DeadlineClock clock;
+    clock.arm(seconds);
+    EXPECT_TRUE(clock.armed()) << seconds;
+    EXPECT_FALSE(clock.expired()) << seconds;
+    EXPECT_GT(clock.remaining_seconds(), 1e9) << seconds;
+    clock.extend(seconds);  // crediting parked time saturates too
+    EXPECT_FALSE(clock.expired()) << seconds;
+
+    QueryOptions opts;
+    opts.deadline_seconds = seconds;
+    ASSERT_TRUE(validate(opts).ok()) << seconds;
+    const Budget budget(opts);
+    EXPECT_TRUE(budget.check({}).ok()) << seconds;
+    EXPECT_GT(budget.remaining_seconds(), 1e9) << seconds;
+
+    Solver solver(gen::grid_graph(6, 6));
+    const auto r = solver.find(cycle_pattern(4), opts);
+    ASSERT_TRUE(r.ok()) << seconds << ": " << r.status().to_string();
+    EXPECT_TRUE(r->found) << seconds;
+  }
+}
+
 TEST(BudgetBoundaries, ExtendPushesTheDeadlineLater) {
   // extend() is the park-credit primitive: suspended wall time is handed
   // back to the clock, so remaining time grows by what was credited.
@@ -734,9 +773,10 @@ TEST(BudgetBoundaries, ExtendPushesTheDeadlineLater) {
 // PendingResult handle semantics: moves, shared copies, repeated get(), and
 // abandoned handles.
 
-TEST(PendingResultHandles, MoveTransfersValidity) {
-  Solver solver(gen::grid_graph(6, 6));
-  auto pending = solver.find_async(cycle_pattern(4));
+TEST(OneTargetPoolHandles, MoveTransfersValidity) {
+  SolverPool pool;
+  const TargetId id = pool.add_target(gen::grid_graph(6, 6));
+  auto pending = pool.find_async(id, cycle_pattern(4));
   ASSERT_TRUE(pending.valid());
   PendingResult<DecisionResult> moved = std::move(pending);
   EXPECT_TRUE(moved.valid());
@@ -745,7 +785,7 @@ TEST(PendingResultHandles, MoveTransfersValidity) {
   EXPECT_TRUE(moved.get()->found);
 
   // Move assignment over an existing handle rebinds it the same way.
-  auto second = solver.find_async(cycle_pattern(4));
+  auto second = pool.find_async(id, cycle_pattern(4));
   PendingResult<DecisionResult> target;
   EXPECT_FALSE(target.valid());
   target = std::move(second);
@@ -753,9 +793,10 @@ TEST(PendingResultHandles, MoveTransfersValidity) {
   EXPECT_TRUE(target.get().ok());
 }
 
-TEST(PendingResultHandles, CopiesShareTheResultAndGetIsRepeatable) {
-  Solver solver(gen::grid_graph(6, 6));
-  auto pending = solver.find_async(cycle_pattern(4));
+TEST(OneTargetPoolHandles, CopiesShareTheResultAndGetIsRepeatable) {
+  SolverPool pool;
+  const TargetId id = pool.add_target(gen::grid_graph(6, 6));
+  auto pending = pool.find_async(id, cycle_pattern(4));
   PendingResult<DecisionResult> copy = pending;
   ASSERT_TRUE(copy.valid());
   ASSERT_TRUE(pending.valid());
@@ -771,86 +812,51 @@ TEST(PendingResultHandles, CopiesShareTheResultAndGetIsRepeatable) {
   EXPECT_TRUE(first->found);
 }
 
-TEST(PendingResultHandles, AbandonedHandleBlocksNobody) {
+TEST(OneTargetPoolHandles, AbandonedHandleBlocksNobody) {
   // Dropping the handle without get() must neither leak (the shared state
-  // dies with the producer) nor block the Solver's destructor drain.
-  Solver solver(gen::grid_graph(10, 10));
+  // dies with the producer) nor block the pool's destructor drain.
+  SolverPool pool;
+  const TargetId id = pool.add_target(gen::grid_graph(10, 10));
   QueryOptions opts;
   opts.max_runs = 2;
-  { auto dropped = solver.find_async(cycle_pattern(5), opts); }
-  // A later query on the same solver still behaves normally.
-  auto follow_up = solver.find_async(cycle_pattern(4), opts);
+  { auto dropped = pool.find_async(id, cycle_pattern(5), opts); }
+  // A later query on the same target still behaves normally.
+  auto follow_up = pool.find_async(id, cycle_pattern(4), opts);
   EXPECT_TRUE(follow_up.get().ok());
 }
 
 // ---------------------------------------------------------------------------
-// Admission classing on the Solver's own async surface.
+// Admission classing on a one-target pool (the policy engine itself is
+// covered by tests/test_solver_pool.cpp).
 
-TEST(SolverAsyncAdmission, DueQueueingDeadlineShedsWithZeroWork) {
-  Solver solver(gen::grid_graph(8, 8));
-  Admission admission;
-  admission.deadline_seconds = 1e-300;  // due at submission, deterministic
-  auto pending = solver.find_async(cycle_pattern(4), {}, admission);
-  const auto& r = pending.get();
-  EXPECT_EQ(r.status().code(), StatusCode::kShed);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->runs, 0u);
-  EXPECT_EQ(r->metrics.work(), 0u);
-  EXPECT_EQ(solver.cache_stats().cover_misses, 0u);  // never touched the shard
-}
-
-TEST(SolverAsyncAdmission, InvalidAdmissionRejectsEagerly) {
-  Solver solver(gen::grid_graph(6, 6));
+TEST(OneTargetPoolAdmission, InvalidAdmissionRejectsEagerly) {
+  SolverPool pool;
+  const TargetId id = pool.add_target(gen::grid_graph(6, 6));
   Admission bad;
   bad.tenant_weight = 0.0;
-  auto pending = solver.find_async(cycle_pattern(4), {}, bad);
+  auto pending = pool.find_async(id, cycle_pattern(4), {}, bad);
   ASSERT_TRUE(pending.valid());
   EXPECT_TRUE(pending.ready());
   EXPECT_EQ(pending.get().status().code(), StatusCode::kInvalidOptions);
 
   bad = {};
   bad.deadline_seconds = -1.0;
-  EXPECT_EQ(solver.list_async(cycle_pattern(4), {}, bad)
+  EXPECT_EQ(pool.list_async(id, cycle_pattern(4), {}, bad)
                 .get()
                 .status()
                 .code(),
             StatusCode::kInvalidOptions);
   bad = {};
   bad.priority = static_cast<Priority>(17);
-  EXPECT_EQ(solver.count_async(cycle_pattern(4), {}, bad)
+  EXPECT_EQ(pool.count_async(id, cycle_pattern(4), {}, bad)
                 .get()
                 .status()
                 .code(),
             StatusCode::kInvalidOptions);
+  EXPECT_EQ(pool.stats().submitted, 0u);
 }
 
-TEST(SolverAsyncAdmission, PrioritiesDoNotChangeResults) {
-  // Ordering-only contract: an interactive-class async run is bit-identical
-  // to the default-class one (and to blocking — pinned differentially).
-  const Graph g = gen::grid_graph(8, 8);
-  const Pattern c4 = cycle_pattern(4);
-  QueryOptions opts;
-  opts.max_runs = 3;
-
-  Solver plain(g);
-  auto base_handle = plain.find_async(c4, opts);
-  const auto& base = base_handle.get();
-  ASSERT_TRUE(base.ok());
-
-  Solver classed(g);
-  Admission interactive;
-  interactive.priority = Priority::kInteractive;
-  interactive.deadline_seconds = 3600.0;  // generous: must not shed
-  auto fast_handle = classed.find_async(c4, opts, interactive);
-  const auto& fast = fast_handle.get();
-  ASSERT_TRUE(fast.ok());
-  EXPECT_EQ(fast->found, base->found);
-  EXPECT_EQ(fast->witness, base->witness);
-  EXPECT_EQ(fast->runs, base->runs);
-  EXPECT_EQ(fast->metrics.work(), base->metrics.work());
-}
-
-TEST(SolverAsyncAdmission, ShedStatusHasAName) {
+TEST(OneTargetPoolAdmission, ShedStatusHasAName) {
   const Status shed{StatusCode::kShed, "shed"};
   EXPECT_NE(shed.to_string().find("shed"), std::string::npos);
   EXPECT_EQ(std::string(to_string(Priority::kInteractive)), "interactive");

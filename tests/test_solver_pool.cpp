@@ -370,6 +370,23 @@ TEST(SolverPoolAdmission, DueDeadlineShedsWithZeroWork) {
   testing::expect_drained_pool_stats_conserved(stats);
 }
 
+TEST(SolverPoolAdmission, DeadlineBeyondTheClockRangeNeverSheds) {
+  // 1e12 s overflows a nanosecond steady_clock duration; the queueing
+  // deadline saturates instead of wrapping into the past and shedding.
+  SolverPool pool;
+  const TargetId id = pool.add_target(gen::grid_graph(8, 8));
+  Admission far;
+  far.deadline_seconds = 1e12;
+  auto pending = pool.find_async(id, cycle_pattern(4), {}, far);
+  const auto& r = pending.get();
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_TRUE(r->found);
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.completed, 1u);
+  testing::expect_drained_pool_stats_conserved(stats);
+}
+
 TEST(SolverPoolAdmission, CancellationOutranksShedding) {
   PoolOptions options;
   options.max_concurrent = 1;

@@ -79,7 +79,8 @@ struct QueryOptions {
   /// like max_work. Enforced cooperatively *inside* cover runs (slice
   /// tasks, path tasks, and the per-node DP loops all check it), so an
   /// exceeded deadline preempts mid-cover and returns kDeadlineExceeded
-  /// with the partial result accounted up to the preemption point.
+  /// with the partial result accounted up to the preemption point. A
+  /// deadline beyond the steady clock's range (e.g. +inf) never expires.
   double deadline_seconds = 0.0;
   /// Optional cooperative cancellation token (borrowed; must outlive the
   /// query). Once token->cancel() is called the query stops at the same

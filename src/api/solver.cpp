@@ -744,8 +744,12 @@ Status probe_connectivity(const detail::VersionState& ver,
     probe.seed = support::hash_combine(options.seed, c);
     const Result<DecisionResult> probed =
         ver.fvg_solver->find_separating(ver.fvg_in_s, cycle, probe);
-    result.metrics.absorb(probed->metrics);
-    result.cycle_runs += probed->runs;
+    // A probe that failed before its cover runs (run_query's validate,
+    // version-pin or admission exit) has no value to absorb.
+    if (probed.has_value()) {
+      result.metrics.absorb(probed->metrics);
+      result.cycle_runs += probed->runs;
+    }
     if (!probed.ok()) return probed.status();
     if (probed->found) {
       result.connectivity = c;

@@ -218,6 +218,10 @@ class Solver {
 
   /// Decides whether some occurrence of the connected pattern separates the
   /// vertices marked by in_s (§5.2); uses the cached separating covers.
+  /// On an S-bipartite target (every edge joins in_s to the rest, as in a
+  /// face-vertex graph with S = the originals) an even-cycle pattern is
+  /// parity-pinned: the witness maps pattern vertex 0, and every vertex at
+  /// even distance from it along the cycle, into S.
   Result<cover::DecisionResult> find_separating(
       const std::vector<std::uint8_t>& in_s, const iso::Pattern& pattern,
       const QueryOptions& options = {});

@@ -57,9 +57,10 @@ DpSolution solve_parallel(const Graph& g,
   for (const auto& bag : td.bags) max_bag = std::max(max_bag, bag.size());
   sol.codec =
       StateCodec::make(pattern.size(), static_cast<std::uint32_t>(max_bag));
+  const ParityPin pin = parity_pin(g, options.spec, pattern);
   std::vector<BagContext> ctxs(td.num_nodes());
   support::parallel_for(0, td.num_nodes(), [&](std::size_t x) {
-    ctxs[x] = make_bag_context(g, td.bags[x], options.spec);
+    ctxs[x] = make_bag_context(g, td.bags[x], options.spec, pin);
   });
   sol.nodes.resize(td.num_nodes());
 

@@ -133,9 +133,10 @@ DpSolution solve_sequential(const Graph& g,
   const StateCodec& codec = sol.codec;
 
   // Precompute all bag contexts (children need the parent's coordinates).
+  const ParityPin pin = parity_pin(g, options.spec, pattern);
   std::vector<BagContext> ctxs(td.num_nodes());
   for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
-    ctxs[x] = make_bag_context(g, td.bags[x], options.spec);
+    ctxs[x] = make_bag_context(g, td.bags[x], options.spec, pin);
 
   sol.nodes.resize(td.num_nodes());
   std::uint64_t work = 0;

@@ -101,7 +101,7 @@ struct NodeGen {
     const StateView view = view_of(codec, code);
     if ((pattern.adj_mask(v) & view.c_mask) != 0) return;  // C-U rule later
     std::uint64_t positions =
-        ctx.allowed_mask & ~view.image_mask & ~blocked;
+        ctx.allowed_for(v) & ~view.image_mask & ~blocked;
     for (std::uint32_t nb = pattern.adj_mask(v); nb != 0; nb &= nb - 1) {
       const auto w = static_cast<std::uint32_t>(std::countr_zero(nb));
       const std::uint64_t wal = codec.get(code, w);
@@ -204,9 +204,10 @@ DpSolution solve_sparse(const Graph& g,
   sol.codec =
       StateCodec::make(pattern.size(), static_cast<std::uint32_t>(max_bag));
   const StateCodec& codec = sol.codec;
+  const ParityPin pin = parity_pin(g, options.spec, pattern);
   std::vector<BagContext> ctxs(td.num_nodes());
   for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
-    ctxs[x] = make_bag_context(g, td.bags[x], options.spec);
+    ctxs[x] = make_bag_context(g, td.bags[x], options.spec, pin);
   sol.nodes.resize(td.num_nodes());
   std::uint64_t work = 0;
   detail::DpScratch& scratch = detail::DpScratch::local();

@@ -55,8 +55,38 @@ int BagContext::position_of(Vertex g) const {
   return static_cast<int>(it - vertices.begin());
 }
 
+ParityPin parity_pin(const Graph& g, const SeparatingSpec& spec,
+                     const Pattern& pattern) {
+  const std::uint32_t k = pattern.size();
+  if (!spec.enabled || k < 4 || k % 2 != 0) return {};
+  // Walk the cycle from vertex 0; it must visit all k vertices, each of
+  // degree 2, before closing.
+  std::uint32_t even = 0;
+  std::uint32_t seen = 0;
+  std::uint32_t prev = 0;
+  std::uint32_t cur = 0;
+  for (std::uint32_t step = 0; step < k; ++step) {
+    const std::uint32_t adj = pattern.adj_mask(cur);
+    if (std::popcount(adj) != 2 || ((seen >> cur) & 1u) != 0) return {};
+    seen |= 1u << cur;
+    if (step % 2 == 0) even |= 1u << cur;
+    const std::uint32_t next = static_cast<std::uint32_t>(
+        std::countr_zero(step == 0 ? adj : adj & ~(1u << prev)));
+    prev = cur;
+    cur = next;
+  }
+  if (cur != 0) return {};
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    if (!spec.allowed[u]) continue;
+    for (Vertex w : g.neighbors(u)) {
+      if (spec.allowed[w] && spec.in_s[u] == spec.in_s[w]) return {};
+    }
+  }
+  return {even, seen & ~even};
+}
+
 BagContext make_bag_context(const Graph& g, std::vector<Vertex> bag,
-                            const SeparatingSpec& spec) {
+                            const SeparatingSpec& spec, ParityPin pin) {
   std::sort(bag.begin(), bag.end());
   support::require(bag.size() <= kSepInsideBits,
                    "make_bag_context: bag too large (max 56 vertices)");
@@ -83,6 +113,7 @@ BagContext make_bag_context(const Graph& g, std::vector<Vertex> bag,
   } else {
     ctx.allowed_mask = ctx.all_mask;
   }
+  ctx.pin = pin;
   return ctx;
 }
 
@@ -95,7 +126,7 @@ bool locally_valid(const Pattern& pattern, const BagContext& ctx,
     if (val == kStateU || val == kStateC) continue;
     const std::uint64_t p = val - kStateMapped;
     if (p >= ctx.size()) return false;
-    if ((ctx.allowed_mask >> p & 1ULL) == 0) return false;
+    if ((ctx.allowed_for(v) >> p & 1ULL) == 0) return false;
     if ((seen >> p) & 1ULL) return false;  // not injective
     seen |= 1ULL << p;
   }

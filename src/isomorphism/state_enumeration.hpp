@@ -15,7 +15,8 @@
 //
 // Local validity (the per-state part of the consistency rules; see
 // DESIGN.md §3 for the soundness argument):
-//   * the image assignment is injective and maps only allowed vertices;
+//   * the image assignment is injective and maps only allowed vertices,
+//     each on its parity-pin side (BagContext::allowed_for);
 //   * every pattern edge with both endpoints mapped joins adjacent bag
 //     vertices (realization);
 //   * no pattern edge joins a C vertex with a U vertex (a forgotten image
@@ -108,23 +109,45 @@ StateView view_of(const StateCodec& codec, std::uint64_t code);
 
 // ---- Bag context ----
 
+/// Pattern-vertex domain restriction of a separating run (see parity_pin):
+/// the images of `in_s` vertices must lie in S, those of `out_s` outside.
+/// Empty masks restrict nothing.
+struct ParityPin {
+  std::uint32_t in_s = 0;
+  std::uint32_t out_s = 0;
+
+  bool operator==(const ParityPin&) const = default;
+};
+
 /// Precomputed per-node data: the bag, its induced adjacency as bitmasks,
-/// and the separating metadata (allowed vertices, S membership).
+/// and the separating metadata (allowed vertices, S membership, and the
+/// parity pin every engine applies wherever it reads `allowed_mask`).
 struct BagContext {
   std::vector<Vertex> vertices;     ///< sorted bag vertices (positions)
   std::vector<std::uint64_t> gadj;  ///< gadj[p] = positions adjacent to p
   std::uint64_t allowed_mask = 0;   ///< positions usable as images
   std::uint64_t s_mask = 0;         ///< positions whose vertex is in S
   std::uint64_t all_mask = 0;       ///< (1 << size) - 1
+  ParityPin pin;                    ///< per-pattern-vertex S/non-S domains
 
   std::uint32_t size() const {
     return static_cast<std::uint32_t>(vertices.size());
   }
   /// Position of g in the bag, or -1.
   int position_of(Vertex g) const;
+  /// Positions usable as the image of pattern vertex v: `allowed_mask`
+  /// intersected with v's parity-pin side.
+  std::uint64_t allowed_for(std::uint32_t v) const {
+    if ((pin.in_s >> v) & 1u) return allowed_mask & s_mask;
+    if ((pin.out_s >> v) & 1u) return allowed_mask & ~s_mask;
+    return allowed_mask;
+  }
 };
 
-/// Separating-run configuration for one target graph (slice).
+/// Separating-run configuration for one target graph (slice). Only the
+/// `allowed` vertices may be images; the contracted outside components of
+/// a separating cover slice are not allowed but may carry S. The spec
+/// carries no pin: the engines derive it with parity_pin.
 struct SeparatingSpec {
   bool enabled = false;
   std::vector<std::uint8_t> in_s;     ///< per target vertex
@@ -133,8 +156,21 @@ struct SeparatingSpec {
   static SeparatingSpec disabled() { return {}; }
 };
 
+/// Parity pin of a separating run. Non-empty only when the spec is
+/// enabled, the pattern is one even cycle, and every edge of `g` between
+/// two allowed vertices joins an S vertex to a non-S vertex. Then every
+/// occurrence alternates S and non-S, and rotating it by one step along
+/// the cycle swaps the two sides while keeping the image set, hence its
+/// S-separation. So pinning the even vertices of a walk from pattern
+/// vertex 0 to S and the odd ones outside S is exact: every dropped
+/// labelling has a kept rotation with the same image set.
+ParityPin parity_pin(const Graph& g, const SeparatingSpec& spec,
+                     const Pattern& pattern);
+
+/// Bag context of `bag` in `g`; `pin` is stored as is (engines pass
+/// parity_pin of the run, which is empty outside separating mode).
 BagContext make_bag_context(const Graph& g, std::vector<Vertex> bag,
-                            const SeparatingSpec& spec);
+                            const SeparatingSpec& spec, ParityPin pin = {});
 
 // ---- Local enumeration and checks ----
 
@@ -250,7 +286,7 @@ struct Enumerator {
     }
     // Choice mapped: free allowed positions adjacent to all mapped earlier
     // pattern neighbors.
-    std::uint64_t positions = ctx.allowed_mask & ~used & must_be_adjacent;
+    std::uint64_t positions = ctx.allowed_for(v) & ~used & must_be_adjacent;
     while (positions != 0) {
       const int p = std::countr_zero(positions);
       positions &= positions - 1;

@@ -1,6 +1,7 @@
 // S-separating subgraph isomorphism tests (§5.2): the extended DP against a
-// brute-force separating oracle, the allowed-vertex restriction, and the
-// sequential/parallel equivalence in separating mode.
+// brute-force separating oracle, the allowed-vertex restriction, the
+// sequential/parallel equivalence in separating mode, and the parity-pinned
+// path on S-bipartite targets (all three engines).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include "graph/generators.hpp"
 #include "isomorphism/parallel_engine.hpp"
 #include "isomorphism/sequential_dp.hpp"
+#include "isomorphism/sparse_dp.hpp"
+#include "planar/face_vertex_graph.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
 namespace ppsi::iso {
@@ -94,6 +97,9 @@ std::vector<SepCase> sep_cases() {
   cases.push_back(
       {"apollonian9_c3", gen::apollonian(9, 4).graph(), gen::cycle_graph(3)});
   cases.push_back({"gnp10_p3", gen::gnp(10, 0.3, 8), gen::path_graph(3)});
+  // An even cycle on a non-bipartite target: the parity pin must not fire.
+  cases.push_back(
+      {"apollonian9_c4", gen::apollonian(9, 4).graph(), gen::cycle_graph(4)});
   return cases;
 }
 
@@ -163,7 +169,82 @@ TEST_P(SeparatingOracle, ParallelMatchesSequential) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Cases, SeparatingOracle, ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(Cases, SeparatingOracle, ::testing::Range(0, 11));
+
+// ---- Parity-pinned path: S-bipartite targets ----
+
+/// Targets where every edge joins S to non-S: face-vertex graphs with S =
+/// the originals (the connectivity probes' setting) and grids with S = one
+/// colour class.
+struct BipartiteCase {
+  std::string name;
+  Graph g;
+  std::vector<std::uint8_t> in_s;
+};
+
+BipartiteCase face_vertex_case(std::string name,
+                               const planar::EmbeddedGraph& eg) {
+  const planar::FaceVertexGraph fvg = planar::build_face_vertex_graph(eg);
+  std::vector<std::uint8_t> in_s(fvg.graph.num_vertices(), 0);
+  for (Vertex v = 0; v < fvg.num_original; ++v) in_s[v] = 1;
+  return {std::move(name), fvg.graph, std::move(in_s)};
+}
+
+BipartiteCase grid_case(Vertex rows, Vertex cols) {
+  std::vector<std::uint8_t> in_s(rows * cols, 0);
+  for (Vertex r = 0; r < rows; ++r)
+    for (Vertex c = 0; c < cols; ++c) in_s[r * cols + c] = (r + c) % 2;
+  return {"grid" + std::to_string(rows) + "x" + std::to_string(cols),
+          gen::grid_graph(rows, cols), std::move(in_s)};
+}
+
+std::vector<BipartiteCase> bipartite_cases() {
+  std::vector<BipartiteCase> cases;
+  cases.push_back(face_vertex_case("fvg_wheel4", gen::wheel(4)));
+  cases.push_back(face_vertex_case("fvg_wheel5", gen::wheel(5)));
+  cases.push_back(face_vertex_case("fvg_antiprism3", gen::antiprism(3)));
+  cases.push_back(face_vertex_case("fvg_antiprism4", gen::antiprism(4)));
+  cases.push_back(face_vertex_case("fvg_apollonian5", gen::apollonian(5, 2)));
+  cases.push_back(face_vertex_case("fvg_apollonian6", gen::apollonian(6, 9)));
+  cases.push_back(grid_case(3, 4));
+  cases.push_back(grid_case(4, 4));
+  return cases;
+}
+
+class PinnedSeparatingOracle
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(PinnedSeparatingOracle, EnginesMatchBruteForce) {
+  const BipartiteCase c = bipartite_cases()[std::get<0>(GetParam())];
+  const int p = std::get<1>(GetParam());
+  // C4, C6 and C8 are pinned; C5, P4 and K1,3 are not.
+  const std::vector<std::pair<std::string, Graph>> patterns = {
+      {"C4", gen::cycle_graph(4)}, {"C6", gen::cycle_graph(6)},
+      {"C8", gen::cycle_graph(8)}, {"C5", gen::cycle_graph(5)},
+      {"P4", gen::path_graph(4)},  {"K13", gen::star_graph(4)}};
+  const Pattern pattern = Pattern::from_graph(patterns[p].second);
+  const std::string name = c.name + "/" + patterns[p].first;
+  SeparatingSpec spec;
+  spec.enabled = true;
+  spec.in_s = c.in_s;
+  spec.allowed.assign(c.g.num_vertices(), 1);
+  EXPECT_EQ(parity_pin(c.g, spec, pattern) != ParityPin{}, p < 3) << name;
+  const bool expect =
+      oracle_separating_exists(c.g, spec.in_s, pattern, spec.allowed);
+  const auto td = treedecomp::binarize(treedecomp::greedy_decomposition(c.g));
+  DpOptions options;
+  options.spec = spec;
+  EXPECT_EQ(solve_sparse(c.g, td, pattern, options).accepted, expect)
+      << name << " sparse";
+  EXPECT_EQ(solve_with_spec(c.g, pattern, spec, false).accepted, expect)
+      << name << " sequential";
+  EXPECT_EQ(solve_with_spec(c.g, pattern, spec, true).accepted, expect)
+      << name << " parallel";
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, PinnedSeparatingOracle,
+                         ::testing::Combine(::testing::Range(0, 8),
+                                            ::testing::Range(0, 6)));
 
 TEST(Separating, MiddleVertexOfPathSeparates) {
   // Removing the middle vertex of a path separates the endpoints.

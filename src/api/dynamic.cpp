@@ -12,21 +12,16 @@ namespace ppsi {
 
 namespace detail {
 
-namespace {
-
-/// Adds the cumulative (non-resident) counters of a dying version's
-/// sub-solver; cover_entries/live_versions describe resident state, which
-/// dies with it.
-void add_harvest(CacheStats* into, const CacheStats& sub) {
+void add_cumulative_stats(CacheStats* into, const CacheStats& sub) {
   into->cover_hits += sub.cover_hits;
   into->cover_misses += sub.cover_misses;
-  into->decomposition_hits += sub.decomposition_hits;
-  into->decomposition_misses += sub.decomposition_misses;
   into->cover_evictions += sub.cover_evictions;
   into->slices_rebuilt += sub.slices_rebuilt;
   into->slices_reused += sub.slices_reused;
   into->stale_covers_purged += sub.stale_covers_purged;
 }
+
+namespace {
 
 Status edit_status(std::size_t index, const Edit& edit, const char* problem,
                    bool unsupported = false) {
@@ -82,7 +77,7 @@ VersionState::~VersionState() {
   }
   const std::lock_guard<std::mutex> lock(ledger->mutex);
   ++ledger->reclaimed;
-  if (have_sub) add_harvest(&ledger->harvested, sub);
+  if (have_sub) add_cumulative_stats(&ledger->harvested, sub);
 }
 
 Status apply_edits_embedded(const planar::EmbeddedGraph& base,

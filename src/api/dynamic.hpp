@@ -58,6 +58,12 @@ struct VersionLedger {
   CacheStats harvested;
 };
 
+/// Adds a face-vertex sub-solver's cumulative cache counters into `into`.
+/// The resident-state fields (cover_entries, the version counters) are left
+/// out: a dead version's die with it, and a live sub-solver's cover_entries
+/// are added by Solver::cache_stats itself.
+void add_cumulative_stats(CacheStats* into, const CacheStats& sub);
+
 /// One immutable committed snapshot of a Solver's target. Everything a
 /// query reads about the target lives here; the Solver's cover cache is
 /// keyed by `id`. The face-vertex connectivity state is per-version (a

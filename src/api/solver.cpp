@@ -30,7 +30,6 @@
 #include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "support/scheduler.hpp"
-#include "treedecomp/bfs_layer_decomposition.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
 namespace ppsi {
@@ -90,14 +89,6 @@ Status validate(const QueryOptions& options) {
     default:
       return Status::InvalidOptions("unknown engine kind");
   }
-  switch (options.decomposition) {
-    case cover::DecompositionKind::kGreedyMinDegree:
-    case cover::DecompositionKind::kGreedyMinFill:
-    case cover::DecompositionKind::kBfsLayer:
-      break;
-    default:
-      return Status::InvalidOptions("unknown decomposition kind");
-  }
   if (std::isnan(options.deadline_seconds) || options.deadline_seconds < 0)
     return Status::InvalidOptions(
         "deadline_seconds must be non-negative (0 disables the deadline)");
@@ -119,21 +110,9 @@ std::uint32_t default_runs(Vertex n) {
   return static_cast<std::uint32_t>(2.0 * lg) + 4;
 }
 
-treedecomp::TreeDecomposition decompose_slice(
-    const Slice& slice, cover::DecompositionKind kind) {
-  using namespace treedecomp;
+treedecomp::TreeDecomposition decompose_slice(const Slice& slice) {
   PPSI_FAULT_POINT("solver.decompose");
-  switch (kind) {
-    case cover::DecompositionKind::kGreedyMinFill:
-      return binarize(
-          greedy_decomposition(slice.graph, GreedyStrategy::kMinFill));
-    case cover::DecompositionKind::kBfsLayer:
-      return binarize(bfs_layer_decomposition(slice.graph, slice.bfs_root));
-    case cover::DecompositionKind::kGreedyMinDegree:
-      break;
-  }
-  return binarize(
-      greedy_decomposition(slice.graph, GreedyStrategy::kMinDegree));
+  return treedecomp::binarize(treedecomp::greedy_decomposition(slice.graph));
 }
 
 /// One slice's tree decomposition, built the first time a query needs it
@@ -158,13 +137,12 @@ struct SliceCounters {
   std::atomic<std::uint64_t> reused{0};
 };
 
-/// The decompositions of one kind for one cover entry: a slot per slice.
+/// The decompositions of one cover entry: a slot per slice.
 /// Structurally identical slices of consecutive target versions hold the
 /// *same* slot (api/dynamic.hpp), so whichever version needs the slice
 /// first builds it for both. The slot vector is fixed at creation; only
 /// the slots' contents and the accounted flags change afterwards.
 struct TdList {
-  cover::DecompositionKind kind = cover::DecompositionKind::kGreedyMinDegree;
   std::vector<std::shared_ptr<TdSlot>> slots;
   std::vector<std::uint8_t> shared;  ///< slot came from the donor version
   /// Set when a replay first accounts the slice (see note_accounted).
@@ -178,7 +156,7 @@ struct TdList {
     std::atomic<const treedecomp::TreeDecomposition*>& td = slots[i]->td;
     if (const auto* built = td.load(std::memory_order_acquire)) return *built;
     auto fresh = std::make_unique<const treedecomp::TreeDecomposition>(
-        decompose_slice(slice, kind));
+        decompose_slice(slice));
     const treedecomp::TreeDecomposition* winner = nullptr;
     if (td.compare_exchange_strong(winner, fresh.get(),
                                    std::memory_order_acq_rel,
@@ -216,7 +194,6 @@ iso::DpSolution solve_slice(const Slice& slice,
   }
   iso::ParallelOptions par;
   par.spec = slice.spec;
-  par.use_shortcuts = options.use_shortcuts;
   par.release_interior = release_interior;
   par.cancel = cancel;  // path tasks of an obsolete slice skip themselves
   return iso::solve_parallel(slice.graph, td, pattern, par);
@@ -545,17 +522,17 @@ struct CoverKey {
   }
 };
 
-/// One memoized cover plus its per-kind slice decomposition slots. The
-/// cover and each kind's slot vector are built under `mutex` and never
-/// change afterwards (a new kind only appends a map node); the slots fill
-/// in lock-free as queries decompose their slices. That is what lets a
-/// newer version's build read a donor entry's slices and share its slots
-/// after only a flag check under the donor's mutex.
+/// One memoized cover plus its slice decomposition slots. The cover and
+/// the slot vector are built together under `mutex` and never change
+/// afterwards; the slots fill in lock-free as queries decompose their
+/// slices. That is what lets a newer version's build read a donor entry's
+/// slices and share its slots after only a flag check under the donor's
+/// mutex.
 struct CoverEntry {
   std::mutex mutex;
   bool cover_ready = false;
   Cover cover;
-  std::map<cover::DecompositionKind, TdList> tds;
+  TdList tds;
   /// LRU tick, guarded by the owning Solver's cache_mutex (not `mutex`).
   std::uint64_t last_used = 0;
 };
@@ -811,8 +788,6 @@ struct Solver::Impl {
   std::uint64_t use_tick = 0;                          // guarded by ^
   std::atomic<std::uint64_t> cover_hits{0};
   std::atomic<std::uint64_t> cover_misses{0};
-  std::atomic<std::uint64_t> td_hits{0};
-  std::atomic<std::uint64_t> td_misses{0};
   std::atomic<std::uint64_t> evictions{0};
   SliceCounters slice_counters;
   std::atomic<std::uint64_t> stale_purged{0};
@@ -866,8 +841,7 @@ struct Solver::Impl {
   }
 
   CoverAccess acquire_cover(const detail::VersionState& ver,
-                            const CoverKey& key,
-                            cover::DecompositionKind kind) {
+                            const CoverKey& key) {
     CoverAccess access;
     std::shared_ptr<CoverEntry> donor;
     {
@@ -894,11 +868,12 @@ struct Solver::Impl {
         // Containment note: a throw from here (including the injected
         // point) unwinds the lock_guards with cover_ready still false and
         // no miss counted — the entry stays an empty shell a later query
-        // (or a pool retry) builds from scratch. Decompositions are not
-        // built here at all: a throw from decompose_slice (the
-        // "solver.decompose" point) happens inside a slice task, reaches
-        // the query's containment through Scheduler::run, and leaves that
-        // slot empty, so a retry decomposes it afresh.
+        // (or a pool retry) builds, cover and slots, from scratch.
+        // Decompositions are not built here at all: a throw from
+        // decompose_slice (the "solver.decompose" point) happens inside a
+        // slice task, reaches the query's containment through
+        // Scheduler::run, and leaves that slot empty, so a retry
+        // decomposes it afresh.
         PPSI_FAULT_POINT("solver.cover_build");
         // The cover skeleton (clustering, BFS levels, slice graphs) is
         // always rebuilt from the pinned version's graph — it is cheap
@@ -911,14 +886,6 @@ struct Solver::Impl {
                                                 beta, key.seed, key.k)
                 : cover::build_kd_cover(ver.graph, key.d, beta, key.seed,
                                         key.k);
-        entry.cover_ready = true;
-        access.built_cover = true;
-        cover_misses.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        cover_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      auto it = entry.tds.find(kind);
-      if (it == entry.tds.end()) {
         // Delta invalidation: match this cover's slices against the donor
         // version's; structurally identical slices share the donor's slot
         // (decompose_slice is deterministic, so whichever version decomposes
@@ -931,16 +898,12 @@ struct Solver::Impl {
         if (donor && donor != access.entry) {
           const std::lock_guard<std::mutex> donor_lock(donor->mutex);
           if (donor->cover_ready) {
-            auto donor_it = donor->tds.find(kind);
-            if (donor_it != donor->tds.end()) {
-              donor_cover = &donor->cover;  // immutable once ready
-              donor_slots = donor_it->second.slots;
-            }
+            donor_cover = &donor->cover;  // immutable once ready
+            donor_slots = donor->tds.slots;
           }
         }
         const std::size_t num_slices = entry.cover.slices.size();
         TdList tds;
-        tds.kind = kind;
         tds.slots.resize(num_slices);
         tds.shared.assign(num_slices, 0);
         tds.accounted =
@@ -967,13 +930,15 @@ struct Solver::Impl {
           }
           if (!tds.slots[i]) tds.slots[i] = std::make_shared<TdSlot>();
         }
-        it = entry.tds.emplace(kind, std::move(tds)).first;
-        td_misses.fetch_add(1, std::memory_order_relaxed);
+        entry.tds = std::move(tds);
+        entry.cover_ready = true;  // published only with its slots
+        access.built_cover = true;
+        cover_misses.fetch_add(1, std::memory_order_relaxed);
       } else {
-        td_hits.fetch_add(1, std::memory_order_relaxed);
+        cover_hits.fetch_add(1, std::memory_order_relaxed);
       }
       access.cover = &entry.cover;
-      access.tds = &it->second;
+      access.tds = &entry.tds;
     }
     if (donor || donated) purge_stale(key);
     return access;
@@ -1069,8 +1034,7 @@ struct Solver::Impl {
       key.version = ver.id;
       for (std::uint32_t r = 0; r < runs; ++r) {
         key.seed = seed_of(r);
-        const CoverAccess access =
-            acquire_cover(ver, key, options.decomposition);
+        const CoverAccess access = acquire_cover(ver, key);
         DecisionResult run;
         Status interrupt;
         const bool found =
@@ -1118,8 +1082,7 @@ struct Solver::Impl {
       while (all.size() < options.list_limit) {
         const std::uint32_t j = ++result.iterations;
         key.seed = support::hash_combine(options.seed, 0x11570 + j);
-        const CoverAccess access =
-            acquire_cover(ver, key, options.decomposition);
+        const CoverAccess access = acquire_cover(ver, key);
         if (access.built_cover) result.metrics.absorb(access.cover->metrics);
         const std::size_t before = all.size();
         // The iteration stats meter the DP solve work (the dominant cost)
@@ -1376,32 +1339,10 @@ std::vector<Result<DecisionResult>> Solver::find_batch(
   return out;
 }
 
-namespace {
-
-/// Adds a face-vertex sub-solver's cumulative counters (resident-state
-/// fields excluded for dead versions are included here for live ones,
-/// where the entries still exist).
-void add_sub_stats(CacheStats* into, const CacheStats& sub) {
-  into->cover_hits += sub.cover_hits;
-  into->cover_misses += sub.cover_misses;
-  into->decomposition_hits += sub.decomposition_hits;
-  into->decomposition_misses += sub.decomposition_misses;
-  into->cover_evictions += sub.cover_evictions;
-  into->cover_entries += sub.cover_entries;
-  into->slices_rebuilt += sub.slices_rebuilt;
-  into->slices_reused += sub.slices_reused;
-  into->stale_covers_purged += sub.stale_covers_purged;
-}
-
-}  // namespace
-
 CacheStats Solver::cache_stats() const {
   CacheStats stats;
   stats.cover_hits = impl_->cover_hits.load(std::memory_order_relaxed);
   stats.cover_misses = impl_->cover_misses.load(std::memory_order_relaxed);
-  stats.decomposition_hits = impl_->td_hits.load(std::memory_order_relaxed);
-  stats.decomposition_misses =
-      impl_->td_misses.load(std::memory_order_relaxed);
   stats.cover_evictions = impl_->evictions.load(std::memory_order_relaxed);
   stats.slices_rebuilt =
       impl_->slice_counters.rebuilt.load(std::memory_order_relaxed);
@@ -1422,11 +1363,14 @@ CacheStats Solver::cache_stats() const {
   {
     const std::lock_guard<std::mutex> lock(impl_->ledger->mutex);
     stats.versions_reclaimed = impl_->ledger->reclaimed;
-    add_sub_stats(&stats, impl_->ledger->harvested);
+    detail::add_cumulative_stats(&stats, impl_->ledger->harvested);
   }
   for (const Impl::Snapshot& snap : live) {
     const std::lock_guard<std::mutex> lock(snap->fvg_mutex);
-    if (snap->fvg_solver) add_sub_stats(&stats, snap->fvg_solver->cache_stats());
+    if (!snap->fvg_solver) continue;
+    const CacheStats sub = snap->fvg_solver->cache_stats();
+    detail::add_cumulative_stats(&stats, sub);
+    stats.cover_entries += sub.cover_entries;
   }
   return stats;
 }
@@ -1451,8 +1395,6 @@ void Solver::clear_cache() {
   }
   impl_->cover_hits.store(0, std::memory_order_relaxed);
   impl_->cover_misses.store(0, std::memory_order_relaxed);
-  impl_->td_hits.store(0, std::memory_order_relaxed);
-  impl_->td_misses.store(0, std::memory_order_relaxed);
   impl_->evictions.store(0, std::memory_order_relaxed);
   impl_->slice_counters.rebuilt.store(0, std::memory_order_relaxed);
   impl_->slice_counters.reused.store(0, std::memory_order_relaxed);

@@ -8,7 +8,7 @@
 // algorithm) depends only on the target graph and a handful of query
 // parameters, not on the pattern's edges. A Solver is constructed once per
 // target and memoizes that state keyed by (pattern diameter, pattern size,
-// run seed, decomposition kind), so
+// run seed), so
 //   * repeating a query with the same seed skips every cover build, and
 //   * a batch of patterns with equal (diameter, size) shares covers.
 // Caching only changes what gets recomputed, never what is computed:
@@ -50,9 +50,6 @@ struct QueryOptions {
   /// Cover repetitions for a w.h.p. negative answer; 0 = 2 log2(n) + 4.
   std::uint32_t max_runs = 0;
   cover::EngineKind engine = cover::EngineKind::kSparse;
-  cover::DecompositionKind decomposition =
-      cover::DecompositionKind::kGreedyMinDegree;
-  bool use_shortcuts = true;
   /// Listing cap; reaching it returns StatusCode::kListLimitReached with
   /// the truncated occurrence set. Must be positive.
   std::size_t list_limit = 1u << 22;
@@ -115,21 +112,19 @@ struct QueryOptions {
 inline constexpr std::size_t kDefaultCacheCapacity = 256;
 
 /// Eager validation; every Solver query calls this first. Rejects a zero
-/// list_limit, a stopping_slack above cover::kMaxStoppingSlack, unknown
-/// engine or decomposition kinds, and a negative or NaN deadline.
+/// list_limit, a stopping_slack above cover::kMaxStoppingSlack, an unknown
+/// engine kind, and a negative or NaN deadline.
 Status validate(const QueryOptions& options);
 
 /// Cache observability (cumulative since construction / clear_cache()).
 /// A "cover" entry is one {cover + per-slice tree-decomposition slots}
-/// unit. Decomposition hits count queries that found the slots of their
-/// kind already set up for a cached cover (decomposition misses: queries
-/// that set them up); the slots themselves fill on demand, one slice at a
-/// time, as queries solve the slices.
+/// unit, built together on a cover miss. The slots fill on demand, one
+/// slice at a time, as queries solve the slices; every slice is decomposed
+/// by binarized min-degree elimination (any width-O(kd) decomposition
+/// serves the paper's bounds).
 struct CacheStats {
   std::uint64_t cover_hits = 0;
   std::uint64_t cover_misses = 0;
-  std::uint64_t decomposition_hits = 0;
-  std::uint64_t decomposition_misses = 0;
   std::uint64_t cover_evictions = 0;  ///< LRU evictions at the capacity cap
   std::uint64_t cover_entries = 0;    ///< currently resident (all versions)
 
@@ -141,10 +136,10 @@ struct CacheStats {
   std::uint64_t live_versions = 0;       ///< currently reachable snapshots
   /// Cover slices whose tree decomposition is this version's own (a cold
   /// target counts here too — compare deltas across an edit). Both slice
-  /// counters count a slice of a cover entry (per decomposition kind) once,
-  /// when a query's slice-order replay first accounts it. Decompositions
-  /// that speculative slice tasks build but no replay reads do not count,
-  /// so the counters are identical for every thread count.
+  /// counters count a slice of a cover entry once, when a query's
+  /// slice-order replay first accounts it. Decompositions that speculative
+  /// slice tasks build but no replay reads do not count, so the counters
+  /// are identical for every thread count.
   std::uint64_t slices_rebuilt = 0;
   /// Cover slices whose decomposition slot is shared with the previous
   /// version because the edit left the slice untouched.

@@ -1,7 +1,7 @@
 #pragma once
 
-// Shared vocabulary of the paper's pipeline (§2, §4, §5.2): the engine and
-// decomposition kinds and the Decision/Listing/Count result structs.
+// Shared vocabulary of the paper's pipeline (§2, §4, §5.2): the engine kind
+// and the Decision/Listing/Count result structs.
 // ppsi::Solver (api/solver.hpp) is the only query surface; its
 // QueryOptions carries the per-query knobs and validate(QueryOptions)
 // keeps their bounds in one place.
@@ -22,12 +22,6 @@ enum class EngineKind {
   kSparse,      ///< output-sensitive bottom-up DP (default; fastest)
   kParallel,    ///< §3.3 path/shortcut engine (paper-faithful rounds)
   kSequential,  ///< §3.2 bottom-up DP over the full local state space
-};
-
-enum class DecompositionKind {
-  kGreedyMinDegree,
-  kGreedyMinFill,
-  kBfsLayer,
 };
 
 /// Upper bound on QueryOptions::stopping_slack: beyond this the streak

@@ -11,9 +11,7 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
-#include <numeric>
 #include <omp.h>
-#include <type_traits>
 #include <vector>
 
 namespace ppsi::support {
@@ -39,11 +37,12 @@ inline std::atomic<std::uint64_t> pfor_fork_epoch{0};
 inline std::atomic<std::uint64_t> pfor_join_epoch{0};
 
 // First-exception trap for loop bodies running inside an OMP worksharing
-// region, where an escaping exception would std::terminate the process.
-// capture() records the first failure; later iterations short-circuit via
-// failed() so a poisoned loop drains fast; rethrow() re-raises on the
-// calling thread after the region joins, letting the failure unwind
-// through ordinary code into the query-boundary containment.
+// region, and for TaskGraph tasks (support/scheduler.cpp), where an
+// escaping exception would std::terminate the process. capture() records
+// the first failure; later iterations short-circuit via failed() so a
+// poisoned loop drains fast; rethrow() re-raises on the calling thread
+// after the region joins, letting the failure unwind through ordinary code
+// into the query-boundary containment.
 class RegionTrap {
  public:
   bool failed() const { return failed_.load(std::memory_order_acquire); }
@@ -150,13 +149,6 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, F&& f,
   return acc;
 }
 
-/// Sum reduction convenience wrapper.
-template <typename T, typename F>
-T parallel_sum(std::size_t begin, std::size_t end, F&& f) {
-  return parallel_reduce<T>(begin, end, T{}, std::forward<F>(f),
-                            [](T a, T b) { return a + b; });
-}
-
 /// Exclusive prefix sum of `values` in place; returns the total.
 /// Two-pass blocked scan (O(n) work, O(log n) PRAM depth shape).
 template <typename T>
@@ -202,35 +194,6 @@ T exclusive_scan_inplace(std::vector<T>& values) {
     }
   }
   return total;
-}
-
-/// Returns the indices i in [0, n) with keep(i), in increasing order.
-/// Parallel pack via per-block counting + scan.
-template <typename Pred>
-std::vector<std::uint32_t> pack_indices(std::size_t n, Pred&& keep) {
-  std::vector<std::uint32_t> flags(n);
-  parallel_for(0, n, [&](std::size_t i) { flags[i] = keep(i) ? 1u : 0u; });
-  std::vector<std::uint32_t> pos = flags;
-  const std::uint32_t total = exclusive_scan_inplace(pos);
-  std::vector<std::uint32_t> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (flags[i]) out[pos[i]] = static_cast<std::uint32_t>(i);
-  });
-  return out;
-}
-
-/// Packs values[i] for which keep(i) holds, preserving order.
-template <typename T, typename Pred>
-std::vector<T> pack_values(const std::vector<T>& values, Pred&& keep) {
-  const std::size_t n = values.size();
-  std::vector<std::uint32_t> pos(n);
-  parallel_for(0, n, [&](std::size_t i) { pos[i] = keep(i) ? 1u : 0u; });
-  const std::uint32_t total = exclusive_scan_inplace(pos);
-  std::vector<T> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (keep(i)) out[pos[i]] = values[i];
-  });
-  return out;
 }
 
 }  // namespace ppsi::support

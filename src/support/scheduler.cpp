@@ -6,12 +6,12 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "support/fault.hpp"
+#include "support/parallel.hpp"
 #include "support/types.hpp"
 
 namespace ppsi::support {
@@ -120,12 +120,12 @@ class GraphRun {
     // tasks of a failed run skip their body (the run's outcome is decided;
     // draining fast matters more) but still propagate successor counts and
     // the finished increment, so the graph drains and joins normally.
-    if (node.fn && !failed_.load(std::memory_order_acquire)) {
+    if (node.fn && !trap_.failed()) {
       try {
         PPSI_FAULT_POINT("scheduler.task");
         node.fn();
       } catch (...) {
-        record_failure();
+        trap_.capture();
       }
     }
     for (const std::uint32_t succ : node.successors) {
@@ -141,23 +141,9 @@ class GraphRun {
   /// Scheduler::run after the join, on the thread that returns to the
   /// caller — from there the exception unwinds through ordinary
   /// single-threaded code into the query-boundary containment.
-  void rethrow_if_failed() const {
-    if (!failed_.load(std::memory_order_acquire)) return;
-    std::exception_ptr error;
-    {
-      const std::lock_guard<std::mutex> lock(error_mutex_);
-      error = error_;
-    }
-    if (error) std::rethrow_exception(error);
-  }
+  void rethrow_if_failed() { trap_.rethrow(); }
 
  private:
-  void record_failure() {
-    const std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!error_) error_ = std::current_exception();
-    failed_.store(true, std::memory_order_release);
-  }
-
   void spawn(std::uint32_t id) {
     {
       const std::lock_guard<std::mutex> lock(ready_mutex);
@@ -170,12 +156,7 @@ class GraphRun {
   TaskGraph& graph_;
   std::atomic<std::uint32_t> published_{0};
   std::atomic<std::size_t> finished_{0};
-  // Failure containment (see execute). failed_ is the fast-path flag;
-  // error_ holds the first exception, guarded by error_mutex_ because
-  // multiple tasks can fail concurrently.
-  std::atomic<bool> failed_{false};
-  mutable std::mutex error_mutex_;
-  std::exception_ptr error_;
+  RegionTrap trap_;  ///< first task failure (see execute)
 };
 
 namespace {
@@ -307,16 +288,6 @@ class ServingPool {
 
 void Scheduler::submit(std::function<void()> job, int priority) {
   ServingPool::instance().submit(std::move(job), priority);
-}
-
-void Scheduler::submit(TaskGraph graph, std::function<void()> on_complete) {
-  // shared_ptr: std::function requires copyable callables, and the graph
-  // must survive until the serving thread runs it.
-  auto owned = std::make_shared<TaskGraph>(std::move(graph));
-  submit([owned, on_complete = std::move(on_complete)] {
-    Scheduler::run(*owned);
-    if (on_complete) on_complete();
-  });
 }
 
 std::size_t Scheduler::serving_threads() {

@@ -178,10 +178,6 @@ class Scheduler {
   /// a PendingResult); the pool drains and joins at process exit.
   static void submit(std::function<void()> job, int priority = 0);
 
-  /// Convenience: runs `graph` detached, then `on_complete` (if any).
-  /// The graph is owned by the submission; both run on a serving thread.
-  static void submit(TaskGraph graph, std::function<void()> on_complete);
-
   /// Number of serving threads backing submit().
   static std::size_t serving_threads();
 };

@@ -208,19 +208,19 @@ TEST(FaultContainment, BlockingQueryContainsInjectedFaults) {
 
 TEST(FaultContainment, DecomposeFaultLeavesTheSlotEmptyAndRetryMatches) {
   // Slice decompositions are built on demand inside slice tasks, so the
-  // "solver.decompose" point fires there. Both solvers first warm the same
-  // covers with min-degree decompositions; the min-fill queries below then
-  // hit those covers and differ only in who decomposed what.
+  // "solver.decompose" point fires there, after the cover build. The
+  // reference solver warms its cover; the faulted solver's armed attempts
+  // build theirs unfaulted and fault every decomposition. One run per
+  // query: an armed attempt stops in its first run, so with more runs the
+  // later covers would stay unbuilt and the disarmed retry would pay for
+  // cover builds the reference's warm repeat does not.
   auto& injector = FaultInjector::instance();
   const iso::Pattern c5 = cycle_pattern(5);  // absent: every slice solved
-  QueryOptions min_degree;
-  min_degree.max_runs = 2;
-  QueryOptions min_fill = min_degree;
-  min_fill.decomposition = cover::DecompositionKind::kGreedyMinFill;
+  QueryOptions opts;
+  opts.max_runs = 1;
   Solver faulted(gen::grid_graph(10, 10));
   Solver reference(gen::grid_graph(10, 10));
-  ASSERT_TRUE(faulted.find(c5, min_degree).ok());
-  ASSERT_TRUE(reference.find(c5, min_degree).ok());
+  ASSERT_TRUE(reference.find(c5, opts).ok());
   const std::uint64_t rebuilt_before = faulted.cache_stats().slices_rebuilt;
 
   FaultPlan plan;
@@ -233,7 +233,7 @@ TEST(FaultContainment, DecomposeFaultLeavesTheSlotEmptyAndRetryMatches) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     injector.reset_stats();
     const ScopedFaultPlan scoped(plan);
-    const auto r = faulted.find(c5, min_fill);
+    const auto r = faulted.find(c5, opts);
     ASSERT_TRUE(r.has_value()) << "attempt " << attempt;
     if (FaultInjector::compiled_in()) {
       EXPECT_EQ(r.status().code(), StatusCode::kInternal)
@@ -248,8 +248,8 @@ TEST(FaultContainment, DecomposeFaultLeavesTheSlotEmptyAndRetryMatches) {
 
   // Disarmed, the retry decomposes afresh and answers bit-identically to a
   // solver that never saw a fault, with equal work.
-  const auto retry = faulted.find(c5, min_fill);
-  const auto want = reference.find(c5, min_fill);
+  const auto retry = faulted.find(c5, opts);
+  const auto want = reference.find(c5, opts);
   ASSERT_TRUE(retry.ok()) << retry.status().to_string();
   ASSERT_TRUE(want.ok());
   EXPECT_EQ(retry->found, want->found);

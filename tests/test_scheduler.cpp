@@ -315,34 +315,6 @@ TEST(ServingPool, SubmitRunsDetachedJobs) {
   EXPECT_GE(Scheduler::serving_threads(), 2u);
 }
 
-TEST(ServingPool, SubmittedTaskGraphRunsToCompletion) {
-  // The TaskGraph overload runs the whole graph (dependencies honored) on
-  // a serving thread, then the completion callback.
-  std::mutex mutex;
-  std::condition_variable done;
-  bool finished = false;
-  std::atomic<int> order_violations{0};
-  std::atomic<int> ran{0};
-  TaskGraph graph;
-  const std::uint32_t first = graph.add([&] {
-    ran.fetch_add(1);
-  });
-  const std::uint32_t second = graph.add([&] {
-    if (ran.load() != 1) order_violations.fetch_add(1);
-    ran.fetch_add(1);
-  });
-  graph.add_edge(first, second);
-  Scheduler::submit(std::move(graph), [&] {
-    const std::lock_guard<std::mutex> lock(mutex);
-    finished = true;
-    done.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(mutex);
-  done.wait(lock, [&] { return finished; });
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_EQ(order_violations.load(), 0);
-}
-
 TEST(ServingPool, SubmittedJobsCanOpenTheirOwnTaskGraphs) {
   // A serving thread is a plain thread: jobs on it run nested Scheduler
   // work of their own (this is how SolverPool queries execute).

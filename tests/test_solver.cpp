@@ -25,7 +25,6 @@ namespace ppsi {
 namespace {
 
 using cover::DecisionResult;
-using cover::DecompositionKind;
 using cover::EngineKind;
 using iso::Pattern;
 
@@ -53,12 +52,9 @@ TEST(QueryOptionsValidation, RejectsOutOfRangeStoppingSlack) {
   EXPECT_TRUE(validate(opts).ok());
 }
 
-TEST(QueryOptionsValidation, RejectsUnknownEngineAndDecomposition) {
+TEST(QueryOptionsValidation, RejectsUnknownEngine) {
   QueryOptions opts;
   opts.engine = static_cast<EngineKind>(42);
-  EXPECT_EQ(validate(opts).code(), StatusCode::kInvalidOptions);
-  opts = {};
-  opts.decomposition = static_cast<DecompositionKind>(9);
   EXPECT_EQ(validate(opts).code(), StatusCode::kInvalidOptions);
 }
 
@@ -276,7 +272,6 @@ TEST(SolverCache, RepeatedQueriesHitTheCoverCache) {
   CacheStats stats = solver.cache_stats();
   EXPECT_EQ(stats.cover_misses, 3u);
   EXPECT_EQ(stats.cover_hits, 0u);
-  EXPECT_EQ(stats.decomposition_misses, 3u);
   EXPECT_EQ(stats.cover_entries, 3u);
 
   const auto warm = solver.find(c5, opts);
@@ -284,22 +279,11 @@ TEST(SolverCache, RepeatedQueriesHitTheCoverCache) {
   stats = solver.cache_stats();
   EXPECT_EQ(stats.cover_misses, 3u);
   EXPECT_EQ(stats.cover_hits, 3u);
-  EXPECT_EQ(stats.decomposition_hits, 3u);
 
   // Identical answers; the warm query skipped the cover-build work.
   EXPECT_EQ(warm->found, cold->found);
   EXPECT_EQ(warm->runs, cold->runs);
   EXPECT_LT(warm->metrics.work(), cold->metrics.work());
-
-  // A different decomposition kind reuses the covers but must build its
-  // own tree decompositions.
-  QueryOptions minfill = opts;
-  minfill.decomposition = DecompositionKind::kGreedyMinFill;
-  ASSERT_TRUE(solver.find(c5, minfill).ok());
-  stats = solver.cache_stats();
-  EXPECT_EQ(stats.cover_misses, 3u);
-  EXPECT_EQ(stats.cover_hits, 6u);
-  EXPECT_EQ(stats.decomposition_misses, 6u);
 
   solver.clear_cache();
   stats = solver.cache_stats();

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 #include "support/metrics.hpp"
@@ -35,7 +34,10 @@ TEST(ParallelReduce, MatchesSerialSum) {
   };
   std::uint64_t serial = 0;
   for (std::size_t i = 0; i < n; ++i) serial += value(i);
-  EXPECT_EQ(parallel_sum<std::uint64_t>(0, n, value), serial);
+  EXPECT_EQ(parallel_reduce<std::uint64_t>(
+                0, n, 0, value,
+                [](std::uint64_t a, std::uint64_t b) { return a + b; }),
+            serial);
 }
 
 TEST(ParallelReduce, MaxCombiner) {
@@ -72,27 +74,6 @@ TEST_P(ScanSizes, ExclusiveScanMatchesSerial) {
 INSTANTIATE_TEST_SUITE_P(Sizes, ScanSizes,
                          ::testing::Values(0, 1, 2, 100, 2047, 2048, 2049,
                                            100000));
-
-TEST(Pack, IndicesAndValues) {
-  const std::size_t n = 50000;
-  const auto keep = [](std::size_t i) { return i % 7 == 3; };
-  const auto idx = pack_indices(n, keep);
-  std::size_t expect_count = 0;
-  for (std::size_t i = 0; i < n; ++i) expect_count += keep(i);
-  ASSERT_EQ(idx.size(), expect_count);
-  for (std::size_t j = 0; j < idx.size(); ++j) {
-    EXPECT_TRUE(keep(idx[j]));
-    if (j > 0) {
-      EXPECT_LT(idx[j - 1], idx[j]);
-    }
-  }
-  std::vector<int> values(n);
-  std::iota(values.begin(), values.end(), 0);
-  const auto packed = pack_values(values, keep);
-  ASSERT_EQ(packed.size(), expect_count);
-  for (std::size_t j = 0; j < packed.size(); ++j)
-    EXPECT_EQ(packed[j], static_cast<int>(idx[j]));
-}
 
 TEST(Rng, DeterministicPerSeedAndStream) {
   Rng a(42, 7), b(42, 7), c(42, 8);

@@ -13,9 +13,12 @@
 // footprint high-water mark, which solves surface through
 // support::Metrics (allocs / scratch_peak_bytes).
 //
-// Output storage (SolvedNode's state array, flat index, and CSR signature
-// groups) is not scratch: it persists in the DpSolution and is sized
-// exactly and written once per node.
+// Output storage (SolvedNode's state array and CSR signature groups) is
+// not scratch: it persists in the DpSolution and is sized exactly and
+// written once per node. Nor is solve_sparse's per-node state-dedup table:
+// clear() sweeps the whole bucket array, sized by the largest node seen,
+// while most nodes hold a few dozen states, so a fresh table per node is
+// cheaper than one cleared thread-lifetime table.
 
 #include <cstdint>
 #include <utility>
@@ -45,8 +48,8 @@ struct PathNodeMeta {
 struct DpScratch {
   support::ScratchArena arena;
 
-  // solve_node_exact: surviving candidates, staged before the exact-sized
-  // copy into the SolvedNode.
+  // solve_node_exact and solve_sparse: a node's states, staged before the
+  // exact-sized copy into the SolvedNode.
   std::vector<StateKey> exact_states;
 
   // build_sig_groups: (signature, state index) pairs fed to SigIndex.

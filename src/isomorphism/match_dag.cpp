@@ -269,8 +269,6 @@ PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
         valid += reachable[pn.base + i] != 0;
       out.states.clear();
       out.states.reserve(valid);
-      // out.index stays empty (see solve_node_exact: no reader outside the
-      // sparse engine's own generation).
       for (std::uint32_t i = 0; i < pn.num_states; ++i) {
         if (reachable[pn.base + i]) out.states.push_back(pn.states[i]);
       }

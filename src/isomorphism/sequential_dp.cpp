@@ -25,19 +25,18 @@ struct NodeEnv {
 };
 
 NodeEnv make_env(const treedecomp::TreeDecomposition& td,
-                 const std::vector<BagContext>& ctxs,
                  const std::vector<SolvedNode>& nodes,
                  treedecomp::NodeId x) {
   NodeEnv env;
   const auto& kids = td.children[x];
   support::require(kids.size() <= 2, "solve: binary decomposition required");
   if (!kids.empty()) {
-    env.left = {true, shared_position_mask(ctxs[x], ctxs[kids[0]])};
     env.left_node = &nodes[kids[0]];
+    env.left = {true, env.left_node->shared_with_parent};
   }
   if (kids.size() == 2) {
-    env.right = {true, shared_position_mask(ctxs[x], ctxs[kids[1]])};
     env.right_node = &nodes[kids[1]];
+    env.right = {true, env.right_node->shared_with_parent};
   }
   return env;
 }
@@ -62,10 +61,10 @@ void solve_node_exact(const Graph&, const treedecomp::TreeDecomposition& td,
   SolvedNode& node = solution.nodes[x];
   node.ctx = ctxs[x];
   const StateCodec& codec = solution.codec;
-  const NodeEnv env = make_env(td, ctxs, solution.nodes, x);
-  // Survivors stage through the thread's scratch; the node's storage is
-  // then sized exactly (states + flat index), so a solved node never
-  // carries growth slack and the scratch arena absorbs all churn.
+  const NodeEnv env = make_env(td, solution.nodes, x);
+  // Survivors stage through the thread's scratch; the node's states are
+  // then sized exactly, so a solved node never carries growth slack and
+  // the scratch arena absorbs all churn.
   DpScratch& scratch = DpScratch::local();
   std::vector<StateKey>& survivors = scratch.exact_states;
   const std::size_t bytes_before = support::ScratchArena::bytes_of(survivors);
@@ -91,9 +90,6 @@ void solve_node_exact(const Graph&, const treedecomp::TreeDecomposition& td,
   scratch.arena.settle(bytes_before,
                        support::ScratchArena::bytes_of(survivors));
   node.states.assign(survivors.begin(), survivors.end());
-  // node.index stays empty: only the generate-side sparse engine needs a
-  // state lookup (dedup during construction); the filter-side engines have
-  // no reader, so building one here would be pure dead work.
 }
 
 void build_sig_groups(const treedecomp::TreeDecomposition& td,

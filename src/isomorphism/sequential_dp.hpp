@@ -14,18 +14,17 @@
 //
 // ---- State-storage layout (flat engine) ----
 //
-// A SolvedNode stores its states in three exactly-sized structures:
+// A SolvedNode stores its states in two exactly-sized structures:
 //   * states      — the valid StateKeys, in discovery order (the engines'
 //                   canonical order; every index below refers into it),
-//   * index       — open-addressing flat table StateKey -> state index
-//                   (support/flat_table.hpp), one contiguous bucket array,
 //   * sig_groups  — CSR signature groups toward the parent
 //                   (isomorphism/sig_index.hpp): sorted signature array +
 //                   offsets + flat state-index array.
-// All three are built once per node with exact reserves; the per-thread
-// scratch arena (isomorphism/dp_scratch.hpp) supplies every intermediate
-// buffer, so the engines do no steady-state scratch allocation after
-// warmup.
+// Both are built once per node with exact sizes: every engine stages the
+// node's states in the per-thread scratch (isomorphism/dp_scratch.hpp) and
+// copies them once. The scratch arena supplies every intermediate buffer,
+// so the engines do no steady-state scratch allocation after warmup. The
+// sparse engine's state-dedup table lives only while its node is built.
 //
 // Instrumented work counts are *layout-invariant*: the counters tick per
 // candidate state, per support combination, and per DAG edge scanned —
@@ -48,7 +47,6 @@
 #include "isomorphism/pattern.hpp"
 #include "isomorphism/sig_index.hpp"
 #include "isomorphism/state_enumeration.hpp"
-#include "support/flat_table.hpp"
 #include "support/metrics.hpp"
 #include "support/scheduler.hpp"
 #include "treedecomp/tree_decomposition.hpp"
@@ -61,21 +59,17 @@ using Assignment = std::vector<Vertex>;
 
 struct SolvedNode {
   BagContext ctx;
-  std::vector<StateKey> states;  ///< valid states
-  /// StateKey -> index into `states` (open addressing). Maintained only by
-  /// the generate-side sparse engine, which needs the lookup to dedup
-  /// states as it constructs them; the filter-side engines
-  /// (sequential/parallel) have no reader and leave it empty.
-  support::FlatMap<StateKey, StateKeyHash> index;
+  std::vector<StateKey> states;  ///< valid states, in discovery order
   /// CSR groups: projection toward the parent -> valid-state indices.
   SigIndex sig_groups;
-  std::uint64_t shared_with_parent = 0;  ///< parent positions (set on parent)
+  /// Parent-bag positions whose vertex is also in this bag; set with
+  /// sig_groups, read by the parent's solve.
+  std::uint64_t shared_with_parent = 0;
 
   /// Frees the solved storage (decision-only queries, once the parent has
   /// consumed this node).
   void release_interior() {
     std::vector<StateKey>().swap(states);
-    index = {};
     sig_groups.release();
   }
 };
@@ -285,15 +279,17 @@ bool for_each_support_combo_ref(const StateCodec& codec, const BagContext& ctx,
 
 /// Solves one node exactly against its (already solved) children:
 /// enumerates the locally valid states and keeps the supported ones.
-/// Fills solution.nodes[x].states/index with exact reserves, staging
-/// through the thread's scratch; sig_groups are built separately.
+/// Fills solution.nodes[x].states exactly sized, staging through the
+/// thread's scratch; sig_groups are built separately. Every child must
+/// already have its sig_groups and shared_with_parent built.
 void solve_node_exact(const Graph& g, const treedecomp::TreeDecomposition& td,
                       const Pattern& pattern,
                       const std::vector<BagContext>& ctxs,
                       treedecomp::NodeId x, bool separating,
                       DpSolution& solution, std::uint64_t* work);
 
-/// Builds solution.nodes[x].sig_groups (projections toward the parent).
+/// Builds solution.nodes[x].sig_groups (projections toward the parent)
+/// and shared_with_parent.
 void build_sig_groups(const treedecomp::TreeDecomposition& td,
                       const Pattern& pattern,
                       const std::vector<BagContext>& ctxs,

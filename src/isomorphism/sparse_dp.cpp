@@ -11,21 +11,18 @@ namespace {
 
 /// Per-vertex merge of two child signatures (both in the parent's
 /// coordinate space). Returns false on conflict; otherwise fills the base
-/// code (new-match candidates stay U and are collected in `free_mask`).
-bool merge_signatures(const StateCodec& codec, const Pattern& pattern,
-                      const BagContext& ctx, std::uint64_t shared_l,
+/// code (new-match candidates stay U).
+bool merge_signatures(const StateCodec& codec, std::uint64_t shared_l,
                       std::uint64_t shared_r, StateKey sig_l, StateKey sig_r,
-                      std::uint64_t* base_code, std::uint32_t* free_mask) {
+                      std::uint64_t* base_code) {
   // Bit-parallel walk: a field that is U (0) in both children contributes
   // nothing to the merged code and is exactly a new-match candidate, so
   // only fields with a set bit in either code are visited (ascending, like
   // the k-loop this replaces — first-conflict behavior is unchanged).
   std::uint64_t code = 0;
-  std::uint32_t nonzero = 0;
   for (std::uint64_t rest = sig_l.code | sig_r.code; rest != 0;) {
     const auto v =
         static_cast<std::uint32_t>(std::countr_zero(rest)) / codec.bits;
-    nonzero |= 1u << v;
     rest &= ~(codec.field_mask << (v * codec.bits));
     const std::uint64_t a = codec.get(sig_l.code, v);
     const std::uint64_t b = codec.get(sig_r.code, v);
@@ -49,78 +46,74 @@ bool merge_signatures(const StateCodec& codec, const Pattern& pattern,
     }
     code = codec.set(code, v, out);
   }
-  (void)pattern;
-  (void)ctx;
-  const std::uint32_t all = codec.k >= 32 ? ~0u : ((1u << codec.k) - 1);
   *base_code = code;
-  *free_mask = all & ~nonzero;  // may stay U or become a new match
   return true;
 }
 
-/// All per-node generation state shared across the enumeration lambdas.
+/// Per-node generation state. One NodeGen lives per node: its dedup table dies with the node, so a
+/// solved node keeps only its exact-sized state array.
 struct NodeGen {
   const StateCodec& codec;
   const Pattern& pattern;
   const BagContext& ctx;
   bool separating;
-  SolvedNode& out;
+  std::vector<StateKey>& states;  ///< discovery order (staged in scratch)
+  detail::StateIndexMap seen{};   ///< StateKey -> index into `states`
 
   void emit(StateKey key) {
-    if (out.index.emplace(key,
-                          static_cast<std::uint32_t>(out.states.size()))) {
-      out.states.push_back(key);
-    }
+    if (seen.emplace(key, static_cast<std::uint32_t>(states.size())))
+      states.push_back(key);
   }
 
-  /// Expands one merged base: enumerates new-match extensions over
-  /// `free_mask`, then labels/bits, emitting every resulting state.
+  /// Expands one base: enumerates new-match extensions over `free_mask`
+  /// (initially the base's U set), then labels/bits, emitting every
+  /// resulting state. `view` is the decoded view of `code`; mapping a
+  /// field derives the next view from it, so each base is decoded once.
   /// `known_labels`/`known_mask` carry the child-determined inside bits
   /// over bag positions (parent coordinates); `child_bits` is the OR of the
   /// children's (iy, oy) contributions packed as kSepIx/kSepOx.
-  void expand(std::uint64_t base_code, std::uint32_t free_mask,
-              std::uint64_t blocked_positions, std::uint64_t known_labels,
-              std::uint64_t known_mask, std::uint64_t child_bits) {
-    expand_matches(base_code, free_mask, blocked_positions, known_labels,
-                   known_mask, child_bits);
-  }
-
- private:
-  void expand_matches(std::uint64_t code, std::uint32_t free_mask,
-                      std::uint64_t blocked, std::uint64_t known_labels,
-                      std::uint64_t known_mask, std::uint64_t child_bits) {
+  void expand_matches(std::uint64_t code, const StateView& view,
+                      std::uint32_t free_mask, std::uint64_t blocked,
+                      std::uint64_t known_labels, std::uint64_t known_mask,
+                      std::uint64_t child_bits) {
     if (free_mask == 0) {
-      finish(code, known_labels, known_mask, child_bits);
+      finish(code, view, known_labels, known_mask, child_bits);
       return;
     }
     const auto v = static_cast<std::uint32_t>(std::countr_zero(free_mask));
     const std::uint32_t rest = free_mask & (free_mask - 1);
     // Option 1: v stays unmatched.
-    expand_matches(code, rest, blocked, known_labels, known_mask, child_bits);
+    expand_matches(code, view, rest, blocked, known_labels, known_mask,
+                   child_bits);
     // Option 2: map v to a fresh allowed position invisible to both
     // children, adjacent to all mapped pattern neighbors of v.
-    const StateView view = view_of(codec, code);
     if ((pattern.adj_mask(v) & view.c_mask) != 0) return;  // C-U rule later
     std::uint64_t positions =
         ctx.allowed_for(v) & ~view.image_mask & ~blocked;
-    for (std::uint32_t nb = pattern.adj_mask(v); nb != 0; nb &= nb - 1) {
+    for (std::uint32_t nb = pattern.adj_mask(v) & view.mapped_mask; nb != 0;
+         nb &= nb - 1) {
       const auto w = static_cast<std::uint32_t>(std::countr_zero(nb));
-      const std::uint64_t wal = codec.get(code, w);
-      if (wal >= kStateMapped) positions &= ctx.gadj[wal - kStateMapped];
+      positions &= ctx.gadj[codec.get(code, w) - kStateMapped];
     }
+    StateView next_view = view;
+    next_view.mapped_mask |= 1u << v;
+    next_view.u_mask &= ~(1u << v);
     while (positions != 0) {
       const int p = std::countr_zero(positions);
       positions &= positions - 1;
       const std::uint64_t next =
           codec.set(code, v, kStateMapped + static_cast<std::uint64_t>(p));
-      expand_matches(next, rest, blocked, known_labels, known_mask,
-                     child_bits);
+      next_view.image_mask = view.image_mask | (1ULL << p);
+      expand_matches(next, next_view, rest, blocked, known_labels,
+                     known_mask, child_bits);
     }
   }
 
-  void finish(std::uint64_t code, std::uint64_t known_labels,
-              std::uint64_t known_mask, std::uint64_t child_bits) {
+ private:
+  void finish(std::uint64_t code, const StateView& view,
+              std::uint64_t known_labels, std::uint64_t known_mask,
+              std::uint64_t child_bits) {
     // Enforce the C-U rule (a C vertex whose pattern neighbor stayed U).
-    const StateView view = view_of(codec, code);
     for (std::uint32_t cm = view.c_mask; cm != 0; cm &= cm - 1) {
       const auto v = static_cast<std::uint32_t>(std::countr_zero(cm));
       if ((pattern.adj_mask(v) & view.u_mask) != 0) return;
@@ -144,42 +137,30 @@ struct NodeGen {
     }
     // Labels: components of the bag minus the image; a component touching a
     // child-labelled position inherits (and must be consistent); the rest
-    // are free.
+    // are free and are compacted to the front of `scan.comps`.
     const std::uint64_t unmapped = ctx.all_mask & ~view.image_mask;
     const std::uint64_t eff_known = known_mask & unmapped;
     std::uint64_t fixed_inside = 0;
-    std::vector<std::uint64_t> free_comps;
-    std::uint64_t todo = unmapped;
-    while (todo != 0) {
-      const int seed = std::countr_zero(todo);
-      std::uint64_t comp = 1ULL << seed;
-      std::uint64_t frontier = comp;
-      while (frontier != 0) {
-        std::uint64_t next = 0;
-        for (std::uint64_t f = frontier; f != 0; f &= f - 1) {
-          const int p = std::countr_zero(f);
-          next |= ctx.gadj[p] & unmapped & ~comp;
-        }
-        comp |= next;
-        frontier = next;
-      }
-      todo &= ~comp;
+    ComponentScan scan = unmapped_components(ctx, unmapped);
+    std::uint32_t num_free = 0;
+    for (std::uint32_t i = 0; i < scan.count; ++i) {
+      const std::uint64_t comp = scan.comps[i];
       const std::uint64_t known_here = comp & eff_known;
       if (known_here == 0) {
-        free_comps.push_back(comp);
+        scan.comps[num_free++] = comp;
       } else {
         const std::uint64_t inside_here = known_here & known_labels;
         if (inside_here != 0 && inside_here != known_here) return;  // mixed
         if (inside_here != 0) fixed_inside |= comp;
       }
     }
-    support::require(free_comps.size() <= 24,
+    support::require(num_free <= 24,
                      "sparse separating: too many free components");
-    const std::uint32_t combos = 1u << free_comps.size();
+    const std::uint32_t combos = 1u << num_free;
     for (std::uint32_t lab = 0; lab < combos; ++lab) {
       std::uint64_t inside = fixed_inside;
-      for (std::size_t i = 0; i < free_comps.size(); ++i)
-        if ((lab >> i) & 1u) inside |= free_comps[i];
+      for (std::uint32_t i = 0; i < num_free; ++i)
+        if ((lab >> i) & 1u) inside |= scan.comps[i];
       // Exact subtree bits: local contribution OR the children's.
       const bool li = (inside & ctx.s_mask) != 0;
       const bool lo = ((unmapped & ~inside) & ctx.s_mask) != 0;
@@ -224,35 +205,35 @@ DpSolution solve_sparse(const Graph& g,
     PPSI_FAULT_POINT("dp.node");
     SolvedNode& node = sol.nodes[x];
     node.ctx = ctxs[x];
-    NodeGen gen{codec, pattern, node.ctx, separating, node};
+    // States stage through the thread's scratch and are copied once into
+    // the node's exact-sized array (as in solve_node_exact).
+    std::vector<StateKey>& staged = scratch.exact_states;
+    const std::size_t staged_bytes = support::ScratchArena::bytes_of(staged);
+    staged.clear();
+    NodeGen gen{codec, pattern, node.ctx, separating, staged};
     const auto& kids = td.children[x];
     support::require(kids.size() <= 2, "solve_sparse: binary tree required");
     if (kids.empty()) {
       // Leaf: C = empty, everything else free.
-      const std::uint32_t all = pattern.size() == 32
-                                    ? 0xffffffffu
-                                    : (1u << pattern.size()) - 1;
       ++work;
-      gen.expand(0, all, 0, 0, 0, 0);
+      const StateView view = view_of(codec, 0);
+      gen.expand_matches(0, view, view.u_mask, 0, 0, 0, 0);
     } else if (kids.size() == 1) {
       const SolvedNode& child = sol.nodes[kids[0]];
-      const std::uint64_t shared =
-          shared_position_mask(node.ctx, ctxs[kids[0]]);
+      const std::uint64_t shared = child.shared_with_parent;
       for (const StateKey& sig : child.sig_groups.sigs()) {
         ++work;
         // The signature itself is the forced base (U/C/mapped fields).
         const StateView view = view_of(codec, sig.code);
-        gen.expand(sig.code, view.u_mask, shared,
-                   sig.sep & kSepLabelMask, shared,
-                   sig.sep & (kSepIx | kSepOx));
+        gen.expand_matches(sig.code, view, view.u_mask, shared,
+                           sig.sep & kSepLabelMask, shared,
+                           sig.sep & (kSepIx | kSepOx));
       }
     } else {
       const SolvedNode& left = sol.nodes[kids[0]];
       const SolvedNode& right = sol.nodes[kids[1]];
-      const std::uint64_t shared_l =
-          shared_position_mask(node.ctx, ctxs[kids[0]]);
-      const std::uint64_t shared_r =
-          shared_position_mask(node.ctx, ctxs[kids[1]]);
+      const std::uint64_t shared_l = left.shared_with_parent;
+      const std::uint64_t shared_r = right.shared_with_parent;
       const std::uint64_t shared_lr = shared_l & shared_r;
       // Join the signature sets on their shared-position restriction.
       const auto join_key = [&](StateKey sig) {
@@ -301,18 +282,20 @@ DpSolution solve_sparse(const Graph& g,
           const std::uint64_t both = shared_lr & kSepLabelMask;
           if ((sig_l.sep & both) != (sig_r.sep & both)) continue;
           std::uint64_t base = 0;
-          std::uint32_t free_mask = 0;
-          if (!merge_signatures(codec, pattern, node.ctx, shared_l, shared_r,
-                                sig_l, sig_r, &base, &free_mask)) {
+          if (!merge_signatures(codec, shared_l, shared_r, sig_l, sig_r,
+                                &base)) {
             continue;
           }
-          gen.expand(base, free_mask, shared_l | shared_r,
-                     (sig_l.sep | sig_r.sep) & kSepLabelMask,
-                     shared_l | shared_r,
-                     (sig_l.sep | sig_r.sep) & (kSepIx | kSepOx));
+          const StateView view = view_of(codec, base);
+          gen.expand_matches(base, view, view.u_mask, shared_l | shared_r,
+                             (sig_l.sep | sig_r.sep) & kSepLabelMask,
+                             shared_l | shared_r,
+                             (sig_l.sep | sig_r.sep) & (kSepIx | kSepOx));
         }
       }
     }
+    scratch.arena.settle(staged_bytes, support::ScratchArena::bytes_of(staged));
+    node.states.assign(staged.begin(), staged.end());
     work += node.states.size();
     detail::build_sig_groups(td, pattern, ctxs, x, sol);
     sol.metrics.add_rounds(1);

@@ -21,34 +21,6 @@ StateCodec StateCodec::make(std::uint32_t k, std::uint32_t max_bag) {
   return codec;
 }
 
-StateView view_of(const StateCodec& codec, std::uint64_t code) {
-  // Bit-parallel decode: a mapped field holds kStateMapped + p >= 2, so it
-  // is exactly a field with a bit above its LSB; C fields are LSB-only.
-  // Walking the set bits costs popcount steps instead of k branchy
-  // iterations, and U fields never cost anything.
-  StateView view;
-  const std::uint32_t all =
-      codec.k >= 32 ? ~0u : ((1u << codec.k) - 1);
-  std::uint64_t non_lsb = code & ~codec.field_lsbs;
-  while (non_lsb != 0) {
-    const auto v =
-        static_cast<std::uint32_t>(std::countr_zero(non_lsb)) / codec.bits;
-    view.mapped_mask |= 1u << v;
-    view.image_mask |= 1ULL << (codec.get(code, v) - kStateMapped);
-    non_lsb &= ~(codec.field_mask << (v * codec.bits));
-  }
-  std::uint64_t lsbs = code & codec.field_lsbs;
-  std::uint32_t lsb_fields = 0;
-  while (lsbs != 0) {
-    const auto bit = static_cast<std::uint32_t>(std::countr_zero(lsbs));
-    lsbs &= lsbs - 1;
-    lsb_fields |= 1u << (bit / codec.bits);
-  }
-  view.c_mask = lsb_fields & ~view.mapped_mask;
-  view.u_mask = all & ~view.mapped_mask & ~view.c_mask;
-  return view;
-}
-
 int BagContext::position_of(Vertex g) const {
   const auto it = std::lower_bound(vertices.begin(), vertices.end(), g);
   if (it == vertices.end() || *it != g) return -1;

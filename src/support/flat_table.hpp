@@ -2,9 +2,10 @@
 
 // Open-addressing flat hash map with 32-bit mapped values.
 //
-// The DP engine keeps one table per solved decomposition node mapping a
-// packed partial-match key to its index in the node's state array. The
-// tables sit on the hottest lookup path of the engine, so the layout is a
+// The DP engines map a packed partial-match key to its index in a state
+// array: the sparse engine dedups each node's states while it builds the
+// node, and the match-DAG path solve indexes its per-path-node candidates.
+// The tables sit on the hottest lookup path of the engine, so the layout is a
 // single contiguous bucket array (key + value side by side), probed
 // linearly from a power-of-two hash slot:
 //   * no per-node heap graph (std::unordered_map allocates one node per

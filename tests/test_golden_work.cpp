@@ -9,7 +9,10 @@
 //   * the per-node valid-state counts (pinned as their total plus an
 //     FNV-1a digest of the node-ordered count sequence; all three engines
 //     must produce the identical sequence),
-//   * the number of accepting root states.
+//   * the number of accepting root states,
+//   * an order-sensitive fingerprint of solve_sparse's states: witnesses
+//     and recovery work depend on the state indices, so the discovery
+//     order of every node is pinned, not just its size.
 // Any change to how the engines probe, hash or schedule must leave every
 // figure unchanged. A figure that moves is a change of the work contract
 // and must be justified, not re-recorded.
@@ -36,6 +39,7 @@
 #include "isomorphism/pattern.hpp"
 #include "isomorphism/sequential_dp.hpp"
 #include "isomorphism/sparse_dp.hpp"
+#include "support/rng.hpp"
 #include "testing/random_inputs.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
@@ -104,6 +108,7 @@ struct Golden {
   std::uint64_t states_total;
   std::uint64_t states_digest;
   std::uint64_t accepting;
+  std::uint64_t sparse_order;
 };
 
 std::vector<std::uint64_t> state_counts(const DpSolution& sol) {
@@ -111,6 +116,15 @@ std::vector<std::uint64_t> state_counts(const DpSolution& sol) {
   for (const SolvedNode& node : sol.nodes)
     counts.push_back(node.states.size());
   return counts;
+}
+
+/// hash_combine over every node's states in index order, nodes in id order.
+std::uint64_t state_order(const DpSolution& sol) {
+  std::uint64_t h = 0;
+  for (const SolvedNode& node : sol.nodes)
+    for (const StateKey& s : node.states)
+      h = support::hash_combine(h, support::hash_combine(s.code, s.sep));
+  return h;
 }
 
 std::uint64_t fnv1a(const std::vector<std::uint64_t>& values) {
@@ -126,34 +140,47 @@ std::uint64_t fnv1a(const std::vector<std::uint64_t>& values) {
 
 constexpr Golden kGolden[] = {
     // name, {seq work, rounds}, {par work, rounds}, {sparse work, rounds},
-    // states total, states digest, accepting
+    // states total, states digest, accepting, sparse state order
     {"grid6x6/C4", {21454, 37}, {28266, 32}, {11980, 37},
-     4567, 0x5baa8d2edb4be8f0ULL, 5},
+     4567, 0x5baa8d2edb4be8f0ULL, 5,
+     0x1d3bd8a527f6b151ULL},
     {"grid6x6/C5", {73592, 37}, {84120, 31}, {25494, 37},
-     10197, 0x72c64b3a6bd151feULL, 0},
+     10197, 0x72c64b3a6bd151feULL, 0,
+     0xa866912ba9ec23cbULL},
     {"grid5x5/P3/sep", {156838, 25}, {159006, 28}, {10481, 25},
-     3960, 0x89543048533357caULL, 2},
+     3960, 0x89543048533357caULL, 2,
+     0xc4e0f73802655db3ULL},
     // S is a colour class of the grid, so the C4 is parity-pinned.
     {"grid4x5/C4/sep", {71086, 20}, {72324, 28}, {2926, 20},
-     1838, 0x7501f2bd033796e3ULL, 0},
+     1838, 0x7501f2bd033796e3ULL, 0,
+     0x34a851625489389eULL},
     {"apollonian30/C4", {24960, 30}, {37054, 30}, {18390, 30},
-     8108, 0x498cdbcd2f13a429ULL, 5},
+     8108, 0x498cdbcd2f13a429ULL, 5,
+     0xd65e1aebf715bb91ULL},
     {"apollonian30/K4", {23012, 30}, {31367, 30}, {13006, 30},
-     6768, 0x52a9633572cf6ee9ULL, 5},
+     6768, 0x52a9633572cf6ee9ULL, 5,
+     0x77b570dd2aa4754cULL},
     {"apollonian20/C3/sep", {47950, 21}, {52940, 28}, {9044, 21},
-     3998, 0xd466930e41675c14ULL, 2},
+     3998, 0xd466930e41675c14ULL, 2,
+     0x31744246f1824bffULL},
     {"random3", {2817, 12}, {3124, 14}, {419, 12},
-     347, 0x02994288433f4a7cULL, 0},
+     347, 0x02994288433f4a7cULL, 0,
+     0xa91697de73be43f8ULL},
     {"random11", {917, 10}, {1032, 10}, {215, 10},
-     185, 0x7b12441962ad5d7cULL, 0},
+     185, 0x7b12441962ad5d7cULL, 0,
+     0x7d6a4aa37db477deULL},
     {"random29", {1675, 14}, {2518, 16}, {1433, 14},
-     614, 0xd0f77f9158afb39bULL, 4},
+     614, 0xd0f77f9158afb39bULL, 4,
+     0xd49de9d348cb20b8ULL},
     {"random42", {2329, 11}, {2618, 16}, {408, 11},
-     345, 0x7a1a96b28ab5f53eULL, 0},
+     345, 0x7a1a96b28ab5f53eULL, 0,
+     0x10b8a35c0a8f78d4ULL},
     {"random5/sep", {95704, 30}, {96928, 32}, {8959, 30},
-     3696, 0x81b056df29c0e2a2ULL, 4},
+     3696, 0x81b056df29c0e2a2ULL, 4,
+     0x3eb7060f450f9560ULL},
     {"random17/sep", {2086, 10}, {2526, 18}, {405, 10},
-     240, 0x9f03593223903bc1ULL, 2},
+     240, 0x9f03593223903bc1ULL, 2,
+     0x4c3132c2d3207591ULL},
 };
 
 TEST(GoldenWork, EnginesReproduceRecordedFigures) {
@@ -191,6 +218,7 @@ TEST(GoldenWork, EnginesReproduceRecordedFigures) {
     EXPECT_EQ(seq.accepting.size(), want.accepting) << c.name;
     EXPECT_EQ(par.accepting.size(), want.accepting) << c.name;
     EXPECT_EQ(sparse.accepting.size(), want.accepting) << c.name;
+    EXPECT_EQ(state_order(sparse), want.sparse_order) << c.name;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "baseline/ullmann.hpp"
 #include "graph/generators.hpp"
@@ -404,6 +405,48 @@ TEST(DpEdgeCases, PatternLargerThanTarget) {
   const Pattern pattern = Pattern::from_graph(gen::path_graph(5));
   const auto td = decomposition_of(g);
   EXPECT_FALSE(solve_sequential(g, td, pattern, {}).accepted);
+}
+
+// ---- Scratch reuse ----
+
+// The engines stage every node's states through thread-local scratch. A
+// solve on a thread that has just solved a larger instance must equal the
+// same solve on a fresh thread: same states in the same order per node,
+// same accepting root states, same work and rounds.
+TEST(ScratchReuse, SmallSolveAfterLargeMatchesAFreshThread) {
+  const Graph large = gen::grid_graph(6, 6);
+  const Graph small = gen::grid_graph(3, 4);
+  const Pattern cycle6 = Pattern::from_graph(gen::cycle_graph(6));
+  const Pattern path3 = Pattern::from_graph(gen::path_graph(3));
+  const auto large_td = decomposition_of(large);
+  const auto small_td = decomposition_of(small);
+  using Engine = DpSolution (*)(const Graph&,
+                                const treedecomp::TreeDecomposition&,
+                                const Pattern&, const DpOptions&);
+  for (const Engine engine : {&solve_sparse, &solve_sequential}) {
+    for (const bool release : {false, true}) {
+      DpOptions large_options;
+      large_options.spec = colour_class_spec(6, 6);
+      large_options.release_interior = release;
+      DpOptions small_options;
+      small_options.spec = colour_class_spec(3, 4);
+      small_options.release_interior = release;
+      engine(large, large_td, cycle6, large_options);
+      const DpSolution reused = engine(small, small_td, path3, small_options);
+      DpSolution fresh;
+      std::thread([&] {
+        fresh = engine(small, small_td, path3, small_options);
+      }).join();
+      ASSERT_EQ(reused.nodes.size(), fresh.nodes.size());
+      for (std::size_t x = 0; x < fresh.nodes.size(); ++x)
+        EXPECT_EQ(reused.nodes[x].states, fresh.nodes[x].states)
+            << "node " << x << " release " << release;
+      EXPECT_TRUE(fresh.accepted);
+      EXPECT_EQ(reused.accepting, fresh.accepting);
+      EXPECT_EQ(reused.metrics.work(), fresh.metrics.work());
+      EXPECT_EQ(reused.metrics.rounds(), fresh.metrics.rounds());
+    }
+  }
 }
 
 }  // namespace

@@ -15,11 +15,16 @@
 //
 // Output storage (SolvedNode's state array and CSR signature groups) is
 // not scratch: it persists in the DpSolution and is sized exactly and
-// written once per node. Nor is solve_sparse's per-node state-dedup table:
-// clear() sweeps the whole bucket array, sized by the largest node seen,
-// while most nodes hold a few dozen states, so a fresh table per node is
-// cheaper than one cleared thread-lifetime table.
+// written once per node. solve_sparse's per-node state-dedup set is
+// scratch (StagedStateSet below). A thread-lifetime table must not be
+// reset by sweeping all of its buckets, which are sized by the largest
+// node the thread has seen, while most nodes hold a few dozen states.
+// The set instead grows a power-of-two prefix within its slot array and
+// sweeps, before each node, only the prefix the previous node used. The
+// reset costs O(previous node), and a node that threw mid-build is swept
+// by the next node like any other.
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -45,6 +50,68 @@ struct PathNodeMeta {
   bool has_side = false;
 };
 
+/// solve_sparse's per-node state-dedup set: open addressing over 32-bit
+/// indices into the node's staged state array, compared through it
+/// (`staged[i] == key`), so a slot is 4 bytes and growth re-inserts from
+/// the array. Only a power-of-two prefix of the slot array is live; every
+/// slot past it is empty. begin_node() sweeps the previous node's prefix
+/// and restarts at the minimum one.
+class StagedStateSet {
+ public:
+  /// Empties the set for a node whose states stage into an emptied array.
+  void begin_node(support::ScratchArena& arena) {
+    std::fill_n(slots_.begin(), prefix_, kEmpty);
+    prefix_ = kMinPrefix;
+    if (slots_.size() < prefix_) extend(prefix_, arena);
+  }
+
+  /// Appends `key` to `staged` unless already present; returns true when
+  /// appended. `staged` must hold exactly the states inserted since
+  /// begin_node().
+  bool insert(std::vector<StateKey>& staged, StateKey key,
+              support::ScratchArena& arena) {
+    if ((staged.size() + 1) * 8 > prefix_ * 7) grow(staged, arena);
+    const std::size_t mask = prefix_ - 1;
+    std::size_t i = StateKeyHash{}(key) & mask;
+    while (slots_[i] != kEmpty) {
+      if (staged[slots_[i]] == key) return false;
+      i = (i + 1) & mask;
+    }
+    slots_[i] = static_cast<std::uint32_t>(staged.size());
+    staged.push_back(key);
+    return true;
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+  static constexpr std::size_t kMinPrefix = 32;
+
+  /// Doubles the prefix (load cap 7/8) and re-inserts every staged state.
+  void grow(const std::vector<StateKey>& staged,
+            support::ScratchArena& arena) {
+    const std::size_t next = prefix_ * 2;
+    if (slots_.size() < next) extend(next, arena);
+    std::fill_n(slots_.begin(), prefix_, kEmpty);
+    prefix_ = next;
+    const std::size_t mask = prefix_ - 1;
+    for (std::uint32_t idx = 0; idx < staged.size(); ++idx) {
+      std::size_t i = StateKeyHash{}(staged[idx]) & mask;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask;
+      slots_[i] = idx;
+    }
+  }
+
+  /// Extends the slot array to n slots, all new ones empty.
+  void extend(std::size_t n, support::ScratchArena& arena) {
+    const std::size_t before = support::ScratchArena::bytes_of(slots_);
+    slots_.resize(n, kEmpty);
+    arena.settle(before, support::ScratchArena::bytes_of(slots_));
+  }
+
+  std::vector<std::uint32_t> slots_;
+  std::size_t prefix_ = 0;  ///< live slots: a power of two, or 0 at start
+};
+
 struct DpScratch {
   support::ScratchArena arena;
 
@@ -52,7 +119,11 @@ struct DpScratch {
   // exact-sized copy into the SolvedNode.
   std::vector<StateKey> exact_states;
 
-  // build_sig_groups: (signature, state index) pairs fed to SigIndex.
+  // solve_sparse: the dedup set over exact_states.
+  StagedStateSet staged_set;
+
+  // build_sig_groups and solve_sparse: (signature, state index) pairs fed
+  // to SigIndex.
   std::vector<std::pair<StateKey, std::uint32_t>> sig_pairs;
 
   // solve_sparse: the right child's signatures keyed for the join.

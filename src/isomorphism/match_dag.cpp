@@ -25,9 +25,8 @@ constexpr std::uint32_t kNoTarget = 0xffffffffu;
 // adjacency — which keeps the BFS traversal (and its instrumented work
 // count) bit-identical while replacing one heap vector per DAG vertex with
 // three reusable flat arrays.
-PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
+PathStats solve_path(const treedecomp::TreeDecomposition& td,
                      const Pattern& pattern,
-                     const std::vector<BagContext>& ctxs,
                      std::span<const treedecomp::NodeId> nodes,
                      const PathSolveConfig& config, DpSolution& solution) {
   PathStats stats;
@@ -39,8 +38,7 @@ PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
 
   // ---- X_1: exact solve against its (already solved) children. ----
   std::uint64_t work = 0;
-  detail::solve_node_exact(g, td, pattern, ctxs, nodes.front(), sep, solution,
-                           &work);
+  detail::solve_node_exact(td, pattern, nodes.front(), sep, solution, &work);
   stats.enumerated_states += solution.nodes[nodes.front()].states.size();
 
   const std::size_t p = nodes.size();
@@ -64,7 +62,7 @@ PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
         detail::StateIndexMap& cindex = scratch.index_slot(j);
         const std::size_t cand_bytes = support::ScratchArena::bytes_of(cand);
         const std::size_t index_bytes = cindex.capacity_bytes();
-        enumerate_local_states(pattern, ctxs[pn.id], codec, sep,
+        enumerate_local_states(pattern, solution.nodes[pn.id].ctx, codec, sep,
                                [&](StateKey key) {
                                  cindex.emplace(
                                      key, static_cast<std::uint32_t>(
@@ -87,9 +85,11 @@ PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
                            "solve_path: more than one side child");
           pn.has_side = true;
           pn.side = kid;
-          pn.side_shared = shared_position_mask(ctxs[pn.id], ctxs[kid]);
+          pn.side_shared = shared_position_mask(solution.nodes[pn.id].ctx,
+                                                solution.nodes[kid].ctx);
         }
-        pn.path_shared = shared_position_mask(ctxs[pn.id], ctxs[nodes[j - 1]]);
+        pn.path_shared = shared_position_mask(
+            solution.nodes[pn.id].ctx, solution.nodes[nodes[j - 1]].ctx);
       }
       pn.base = next_vertex;
       next_vertex += pn.num_states;
@@ -107,8 +107,8 @@ PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
     for (std::size_t j = 0; j + 1 < p; ++j) {
       const PathNodeMeta& lo = path[j];
       const PathNodeMeta& hi = path[j + 1];
-      const BagContext& lo_ctx = ctxs[lo.id];
-      const BagContext& hi_ctx = ctxs[hi.id];
+      const BagContext& lo_ctx = solution.nodes[lo.id].ctx;
+      const BagContext& hi_ctx = solution.nodes[hi.id].ctx;
       const detail::StateIndexMap& hi_index = scratch.path_index[j + 1];
       // Projections of lo's states toward hi: pi vertices.
       detail::StateIndexMap& pi_map = scratch.pi_map;
@@ -263,7 +263,6 @@ PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
       const PathNodeMeta& pn = path[j];
       if (config.release_interior && j + 1 < p) continue;  // freed below
       SolvedNode& out = solution.nodes[pn.id];
-      out.ctx = ctxs[pn.id];
       std::uint32_t valid = 0;
       for (std::uint32_t i = 0; i < pn.num_states; ++i)
         valid += reachable[pn.base + i] != 0;
@@ -282,7 +281,7 @@ PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
   // they are about to be freed as children of the next path node.
   for (const NodeId x : nodes) {
     if (config.release_interior && x != nodes.back()) continue;
-    detail::build_sig_groups(td, pattern, ctxs, x, solution);
+    detail::build_sig_groups(td, pattern, x, solution);
   }
   if (config.release_interior) {
     // Every child of a path node has now been consumed: side children and

@@ -58,11 +58,12 @@ struct PathSolveConfig {
 /// SolvedNode holds its valid states and its signature index toward its
 /// tree parent. X_1 (= nodes.front()) is solved exactly against its
 /// children; the remaining nodes are solved by shortcut reachability.
-/// Thread-safe for distinct paths (per-thread scratch; writes only the
-/// SolvedNodes of `nodes` and of their already-consumed children).
-PathStats solve_path(const Graph& g, const treedecomp::TreeDecomposition& td,
+/// Every node's ctx must be set. Thread-safe for distinct paths
+/// (per-thread scratch; writes only the states and signature groups of
+/// the SolvedNodes of `nodes` and of their already-consumed children, and
+/// reads other nodes' ctx, which no path writes).
+PathStats solve_path(const treedecomp::TreeDecomposition& td,
                      const Pattern& pattern,
-                     const std::vector<BagContext>& ctxs,
                      std::span<const treedecomp::NodeId> nodes,
                      const PathSolveConfig& config, DpSolution& solution);
 

@@ -15,10 +15,8 @@ namespace {
 /// its own children finish — the slowest path of a layer never holds back
 /// unrelated paths of the next. Task ids equal path ids, so per-path stats
 /// land in pre-sized slots.
-void run_paths_task_graph(const Graph& g,
-                          const treedecomp::TreeDecomposition& td,
+void run_paths_task_graph(const treedecomp::TreeDecomposition& td,
                           const Pattern& pattern,
-                          const std::vector<BagContext>& ctxs,
                           const treepath::PathDecomposition& paths,
                           const PathSolveConfig& config,
                           const support::CancelScope& cancel,
@@ -29,8 +27,7 @@ void run_paths_task_graph(const Graph& g,
     graph.add([&, pi] {
       if (cancel.cancelled()) return;  // owning slice query already accepted
       PPSI_FAULT_POINT("engine.path");
-      per_path[pi] =
-          solve_path(g, td, pattern, ctxs, paths.paths[pi], config, sol);
+      per_path[pi] = solve_path(td, pattern, paths.paths[pi], config, sol);
     });
   }
   for (std::uint32_t pi = 0; pi < num_paths; ++pi) {
@@ -58,11 +55,10 @@ DpSolution solve_parallel(const Graph& g,
   sol.codec =
       StateCodec::make(pattern.size(), static_cast<std::uint32_t>(max_bag));
   const ParityPin pin = parity_pin(g, options.spec, pattern);
-  std::vector<BagContext> ctxs(td.num_nodes());
-  support::parallel_for(0, td.num_nodes(), [&](std::size_t x) {
-    ctxs[x] = make_bag_context(g, td.bags[x], options.spec, pin);
-  });
   sol.nodes.resize(td.num_nodes());
+  support::parallel_for(0, td.num_nodes(), [&](std::size_t x) {
+    sol.nodes[x].ctx = make_bag_context(g, td.bags[x], options.spec, pin);
+  });
 
   // Lemma 3.2: layered path decomposition of the decomposition tree.
   treepath::Forest forest;
@@ -85,8 +81,8 @@ DpSolution solve_parallel(const Graph& g,
   // One per-solve stats array indexed by path id (hoisted out of the old
   // per-layer loop); tasks write disjoint slots.
   std::vector<PathStats> per_path(paths.paths.size());
-  run_paths_task_graph(g, td, pattern, ctxs, paths, config, options.cancel,
-                       sol, per_path);
+  run_paths_task_graph(td, pattern, paths, config, options.cancel, sol,
+                       per_path);
 
   // Canonical-order fold: identical arithmetic to the old per-layer loop,
   // independent of the order the path tasks ran in. The critical path

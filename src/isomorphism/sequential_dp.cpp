@@ -53,13 +53,11 @@ bool accepting_state(const StateCodec& codec, bool separating, StateKey s) {
 
 namespace detail {
 
-void solve_node_exact(const Graph&, const treedecomp::TreeDecomposition& td,
-                      const Pattern& pattern,
-                      const std::vector<BagContext>& ctxs,
-                      treedecomp::NodeId x, bool separating,
-                      DpSolution& solution, std::uint64_t* work) {
+void solve_node_exact(const treedecomp::TreeDecomposition& td,
+                      const Pattern& pattern, treedecomp::NodeId x,
+                      bool separating, DpSolution& solution,
+                      std::uint64_t* work) {
   SolvedNode& node = solution.nodes[x];
-  node.ctx = ctxs[x];
   const StateCodec& codec = solution.codec;
   const NodeEnv env = make_env(td, solution.nodes, x);
   // Survivors stage through the thread's scratch; the node's states are
@@ -93,12 +91,11 @@ void solve_node_exact(const Graph&, const treedecomp::TreeDecomposition& td,
 }
 
 void build_sig_groups(const treedecomp::TreeDecomposition& td,
-                      const Pattern& pattern,
-                      const std::vector<BagContext>& ctxs,
-                      treedecomp::NodeId x, DpSolution& solution) {
+                      const Pattern& pattern, treedecomp::NodeId x,
+                      DpSolution& solution) {
   SolvedNode& node = solution.nodes[x];
   if (td.parent[x] == treedecomp::kNoNode) return;
-  const BagContext& parent_ctx = ctxs[td.parent[x]];
+  const BagContext& parent_ctx = solution.nodes[td.parent[x]].ctx;
   node.shared_with_parent = shared_position_mask(parent_ctx, node.ctx);
   DpScratch& scratch = DpScratch::local();
   auto& pairs = scratch.sig_pairs;
@@ -128,13 +125,13 @@ DpSolution solve_sequential(const Graph& g,
                                static_cast<std::uint32_t>(max_bag));
   const StateCodec& codec = sol.codec;
 
-  // Precompute all bag contexts (children need the parent's coordinates).
+  // Build every bag context up front (children need the parent's
+  // coordinates).
   const ParityPin pin = parity_pin(g, options.spec, pattern);
-  std::vector<BagContext> ctxs(td.num_nodes());
-  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
-    ctxs[x] = make_bag_context(g, td.bags[x], options.spec, pin);
-
   sol.nodes.resize(td.num_nodes());
+  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
+    sol.nodes[x].ctx = make_bag_context(g, td.bags[x], options.spec, pin);
+
   std::uint64_t work = 0;
   detail::DpScratch& scratch = detail::DpScratch::local();
   const std::uint64_t allocs_before = scratch.arena.alloc_events();
@@ -149,8 +146,8 @@ DpSolution solve_sequential(const Graph& g,
       break;
     }
     PPSI_FAULT_POINT("dp.node");
-    detail::solve_node_exact(g, td, pattern, ctxs, x, separating, sol, &work);
-    detail::build_sig_groups(td, pattern, ctxs, x, sol);
+    detail::solve_node_exact(td, pattern, x, separating, sol, &work);
+    detail::build_sig_groups(td, pattern, x, sol);
     sol.metrics.add_rounds(1);
     if (options.release_interior) {
       // x consumed its children's signature groups; nothing reads them (or

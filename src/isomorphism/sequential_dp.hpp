@@ -22,9 +22,11 @@
 //                   offsets + flat state-index array.
 // Both are built once per node with exact sizes: every engine stages the
 // node's states in the per-thread scratch (isomorphism/dp_scratch.hpp) and
-// copies them once. The scratch arena supplies every intermediate buffer,
-// so the engines do no steady-state scratch allocation after warmup. The
-// sparse engine's state-dedup table lives only while its node is built.
+// copies them once, and the signature groups take one allocation. The
+// scratch arena supplies every intermediate buffer, the sparse engine's
+// state-dedup set included, so the engines do no steady-state scratch
+// allocation after warmup. The node's bag context (`ctx`) is built once,
+// in place, before the bottom-up pass; children read their parent's.
 //
 // Instrumented work counts are *layout-invariant*: the counters tick per
 // candidate state, per support combination, and per DAG edge scanned —
@@ -280,20 +282,20 @@ bool for_each_support_combo_ref(const StateCodec& codec, const BagContext& ctx,
 /// Solves one node exactly against its (already solved) children:
 /// enumerates the locally valid states and keeps the supported ones.
 /// Fills solution.nodes[x].states exactly sized, staging through the
-/// thread's scratch; sig_groups are built separately. Every child must
-/// already have its sig_groups and shared_with_parent built.
-void solve_node_exact(const Graph& g, const treedecomp::TreeDecomposition& td,
-                      const Pattern& pattern,
-                      const std::vector<BagContext>& ctxs,
-                      treedecomp::NodeId x, bool separating,
-                      DpSolution& solution, std::uint64_t* work);
+/// thread's scratch; sig_groups are built separately. The node's ctx must
+/// be set, and every child must already have its sig_groups and
+/// shared_with_parent built.
+void solve_node_exact(const treedecomp::TreeDecomposition& td,
+                      const Pattern& pattern, treedecomp::NodeId x,
+                      bool separating, DpSolution& solution,
+                      std::uint64_t* work);
 
 /// Builds solution.nodes[x].sig_groups (projections toward the parent)
-/// and shared_with_parent.
+/// and shared_with_parent from the node's states and the ctx of x and of
+/// its parent.
 void build_sig_groups(const treedecomp::TreeDecomposition& td,
-                      const Pattern& pattern,
-                      const std::vector<BagContext>& ctxs,
-                      treedecomp::NodeId x, DpSolution& solution);
+                      const Pattern& pattern, treedecomp::NodeId x,
+                      DpSolution& solution);
 
 }  // namespace detail
 

@@ -8,7 +8,8 @@
 // unordered_map<StateKey, vector<uint32>> — one heap node per signature
 // plus one heap vector per group, probed on the engine's hottest lookup
 // (`is this child signature present?`). This layout packs the same data
-// into three flat arrays built once per node with exact reserves:
+// into three flat arrays carved from one exactly-sized allocation per
+// node:
 //
 //   sigs     – the distinct signatures, sorted by (code, sep)
 //   offsets  – offsets[i]..offsets[i+1] delimit group i in `indices`
@@ -22,7 +23,11 @@
 // push_back order did.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -33,40 +38,41 @@ namespace ppsi::iso {
 
 class SigIndex {
  public:
+  SigIndex() = default;
+  SigIndex(const SigIndex& other) { copy_from(other); }
+  SigIndex(SigIndex&& other) noexcept { take(other); }
+  SigIndex& operator=(const SigIndex& other) {
+    if (this != &other) copy_from(other);
+    return *this;
+  }
+  SigIndex& operator=(SigIndex&& other) noexcept {
+    if (this != &other) take(other);
+    return *this;
+  }
+
   /// Builds from (signature, state index) pairs; sorts `pairs` in place.
-  /// Storage is exact: one allocation per array, no growth.
+  /// Storage is exact: one allocation holds all three arrays.
   void build(std::vector<std::pair<StateKey, std::uint32_t>>& pairs) {
-    clear();
     std::sort(pairs.begin(), pairs.end());
     std::size_t distinct = 0;
     for (std::size_t i = 0; i < pairs.size(); ++i)
       if (i == 0 || !(pairs[i].first == pairs[i - 1].first)) ++distinct;
-    sigs_.reserve(distinct);
-    offsets_.reserve(distinct + 1);
-    indices_.reserve(pairs.size());
-    for (const auto& [sig, idx] : pairs) {
-      if (sigs_.empty() || !(sigs_.back() == sig)) {
-        sigs_.push_back(sig);
-        offsets_.push_back(static_cast<std::uint32_t>(indices_.size()));
+    allocate(distinct, pairs.size());
+    std::size_t slot = 0;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (i == 0 || !(pairs[i].first == pairs[i - 1].first)) {
+        sigs_[slot] = pairs[i].first;
+        offsets_[slot++] = static_cast<std::uint32_t>(i);
       }
-      indices_.push_back(idx);
+      indices_[i] = pairs[i].second;
     }
-    offsets_.push_back(static_cast<std::uint32_t>(indices_.size()));
-  }
-
-  void clear() {
-    sigs_.clear();
-    offsets_.clear();
-    indices_.clear();
+    if (distinct != 0)
+      offsets_[distinct] = static_cast<std::uint32_t>(pairs.size());
   }
 
   /// Drops the storage entirely (decision-only queries release solved
   /// interior nodes once their parent has consumed them).
-  void release() {
-    std::vector<StateKey>().swap(sigs_);
-    std::vector<std::uint32_t>().swap(offsets_);
-    std::vector<std::uint32_t>().swap(indices_);
-  }
+  void release() { allocate(0, 0); }
 
   bool contains(const StateKey& sig) const { return slot_of(sig) >= 0; }
 
@@ -75,29 +81,71 @@ class SigIndex {
   std::span<const std::uint32_t> group(const StateKey& sig) const {
     const std::ptrdiff_t slot = slot_of(sig);
     if (slot < 0) return {};
-    return std::span<const std::uint32_t>(indices_)
-        .subspan(offsets_[slot], offsets_[slot + 1] - offsets_[slot]);
+    return group_at(static_cast<std::size_t>(slot));
   }
 
   /// Distinct signatures, sorted by (code, sep).
-  const std::vector<StateKey>& sigs() const { return sigs_; }
+  std::span<const StateKey> sigs() const { return {sigs_, num_sigs_}; }
   std::span<const std::uint32_t> group_at(std::size_t slot) const {
-    return std::span<const std::uint32_t>(indices_)
-        .subspan(offsets_[slot], offsets_[slot + 1] - offsets_[slot]);
+    return {indices_ + offsets_[slot], offsets_[slot + 1] - offsets_[slot]};
   }
-  std::size_t size() const { return sigs_.size(); }
-  bool empty() const { return sigs_.empty(); }
+  std::size_t size() const { return num_sigs_; }
+  bool empty() const { return num_sigs_ == 0; }
 
  private:
-  std::ptrdiff_t slot_of(const StateKey& sig) const {
-    const auto it = std::lower_bound(sigs_.begin(), sigs_.end(), sig);
-    if (it == sigs_.end() || !(*it == sig)) return -1;
-    return it - sigs_.begin();
+  static std::size_t bytes_for(std::size_t distinct, std::size_t n) {
+    return distinct * sizeof(StateKey) +
+           (distinct + 1 + n) * sizeof(std::uint32_t);
   }
 
-  std::vector<StateKey> sigs_;
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::uint32_t> indices_;
+  /// Replaces the storage with room for `distinct` signatures and `n`
+  /// state indices (none when both are zero), carving the three arrays
+  /// from one allocation: signatures first, so every array is aligned.
+  void allocate(std::size_t distinct, std::size_t n) {
+    storage_.reset();
+    sigs_ = nullptr;
+    offsets_ = indices_ = nullptr;
+    num_sigs_ = distinct;
+    num_indices_ = n;
+    if (distinct == 0 && n == 0) return;
+    storage_ =
+        std::make_unique_for_overwrite<std::byte[]>(bytes_for(distinct, n));
+    std::byte* raw = storage_.get();
+    sigs_ = std::launder(reinterpret_cast<StateKey*>(raw));
+    offsets_ = std::launder(
+        reinterpret_cast<std::uint32_t*>(raw + distinct * sizeof(StateKey)));
+    indices_ = offsets_ + distinct + 1;
+  }
+
+  void copy_from(const SigIndex& other) {
+    allocate(other.num_sigs_, other.num_indices_);
+    if (storage_ != nullptr)
+      std::memcpy(storage_.get(), other.storage_.get(),
+                  bytes_for(num_sigs_, num_indices_));
+  }
+
+  void take(SigIndex& other) {
+    storage_ = std::move(other.storage_);
+    sigs_ = std::exchange(other.sigs_, nullptr);
+    offsets_ = std::exchange(other.offsets_, nullptr);
+    indices_ = std::exchange(other.indices_, nullptr);
+    num_sigs_ = std::exchange(other.num_sigs_, 0);
+    num_indices_ = std::exchange(other.num_indices_, 0);
+  }
+
+  std::ptrdiff_t slot_of(const StateKey& sig) const {
+    const std::span<const StateKey> all = sigs();
+    const auto it = std::lower_bound(all.begin(), all.end(), sig);
+    if (it == all.end() || !(*it == sig)) return -1;
+    return it - all.begin();
+  }
+
+  std::unique_ptr<std::byte[]> storage_;
+  StateKey* sigs_ = nullptr;
+  std::uint32_t* offsets_ = nullptr;
+  std::uint32_t* indices_ = nullptr;
+  std::size_t num_sigs_ = 0;
+  std::size_t num_indices_ = 0;
 };
 
 }  // namespace ppsi::iso

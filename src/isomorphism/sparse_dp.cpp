@@ -50,19 +50,29 @@ bool merge_signatures(const StateCodec& codec, std::uint64_t shared_l,
   return true;
 }
 
-/// Per-node generation state. One NodeGen lives per node: its dedup table dies with the node, so a
-/// solved node keeps only its exact-sized state array.
+/// Per-node generation state. States, their dedup set and their
+/// projections toward the parent all stage in the thread's scratch; a
+/// solved node keeps only its exact-sized state array and signature index.
 struct NodeGen {
   const StateCodec& codec;
   const Pattern& pattern;
   const BagContext& ctx;
   bool separating;
-  std::vector<StateKey>& states;  ///< discovery order (staged in scratch)
-  detail::StateIndexMap seen{};   ///< StateKey -> index into `states`
+  const PositionMap* to_parent;  ///< null at the root
+  detail::DpScratch& scratch;
 
-  void emit(StateKey key) {
-    if (seen.emplace(key, static_cast<std::uint32_t>(states.size())))
-      states.push_back(key);
+  /// Stages `key` (whose code decodes to `view`) unless already present,
+  /// and appends its projection toward the parent, so the pairs come out
+  /// in state-index order as build_sig_groups would produce them.
+  void emit(StateKey key, const StateView& view) {
+    const auto index =
+        static_cast<std::uint32_t>(scratch.exact_states.size());
+    if (!scratch.staged_set.insert(scratch.exact_states, key, scratch.arena))
+      return;
+    if (to_parent == nullptr) return;
+    const auto sig =
+        project_to_parent(key, view, codec, pattern, ctx, *to_parent);
+    if (sig.has_value()) scratch.sig_pairs.emplace_back(*sig, index);
   }
 
   /// Expands one base: enumerates new-match extensions over `free_mask`
@@ -132,7 +142,7 @@ struct NodeGen {
       }
     }
     if (!separating) {
-      emit({code, 0});
+      emit({code, 0}, view);
       return;
     }
     // Labels: components of the bag minus the image; a component touching a
@@ -167,7 +177,7 @@ struct NodeGen {
       std::uint64_t sep = inside | child_bits;
       if (li) sep |= kSepIx;
       if (lo) sep |= kSepOx;
-      emit({code, sep});
+      emit({code, sep}, view);
     }
   }
 };
@@ -186,10 +196,9 @@ DpSolution solve_sparse(const Graph& g,
       StateCodec::make(pattern.size(), static_cast<std::uint32_t>(max_bag));
   const StateCodec& codec = sol.codec;
   const ParityPin pin = parity_pin(g, options.spec, pattern);
-  std::vector<BagContext> ctxs(td.num_nodes());
-  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
-    ctxs[x] = make_bag_context(g, td.bags[x], options.spec, pin);
   sol.nodes.resize(td.num_nodes());
+  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
+    sol.nodes[x].ctx = make_bag_context(g, td.bags[x], options.spec, pin);
   std::uint64_t work = 0;
   detail::DpScratch& scratch = detail::DpScratch::local();
   const std::uint64_t allocs_before = scratch.arena.alloc_events();
@@ -204,13 +213,23 @@ DpSolution solve_sparse(const Graph& g,
     }
     PPSI_FAULT_POINT("dp.node");
     SolvedNode& node = sol.nodes[x];
-    node.ctx = ctxs[x];
+    const treedecomp::NodeId parent = td.parent[x];
+    PositionMap to_parent;
+    if (parent != treedecomp::kNoNode)
+      to_parent = make_position_map(node.ctx, sol.nodes[parent].ctx);
     // States stage through the thread's scratch and are copied once into
-    // the node's exact-sized array (as in solve_node_exact).
+    // the node's exact-sized array (as in solve_node_exact). The dedup
+    // set is swept here, before the node, so a node that threw leaves
+    // nothing behind for the next one.
     std::vector<StateKey>& staged = scratch.exact_states;
+    auto& pairs = scratch.sig_pairs;
     const std::size_t staged_bytes = support::ScratchArena::bytes_of(staged);
+    const std::size_t pairs_bytes = support::ScratchArena::bytes_of(pairs);
     staged.clear();
-    NodeGen gen{codec, pattern, node.ctx, separating, staged};
+    pairs.clear();
+    scratch.staged_set.begin_node(scratch.arena);
+    NodeGen gen{codec, pattern, node.ctx, separating,
+                parent != treedecomp::kNoNode ? &to_parent : nullptr, scratch};
     const auto& kids = td.children[x];
     support::require(kids.size() <= 2, "solve_sparse: binary tree required");
     if (kids.empty()) {
@@ -295,9 +314,14 @@ DpSolution solve_sparse(const Graph& g,
       }
     }
     scratch.arena.settle(staged_bytes, support::ScratchArena::bytes_of(staged));
+    scratch.arena.settle(pairs_bytes, support::ScratchArena::bytes_of(pairs));
     node.states.assign(staged.begin(), staged.end());
     work += node.states.size();
-    detail::build_sig_groups(td, pattern, ctxs, x, sol);
+    if (parent != treedecomp::kNoNode) {
+      node.shared_with_parent =
+          shared_position_mask(sol.nodes[parent].ctx, node.ctx);
+      node.sig_groups.build(pairs);
+    }
     sol.metrics.add_rounds(1);
     if (options.release_interior) {
       for (const treedecomp::NodeId kid : kids)

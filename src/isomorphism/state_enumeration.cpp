@@ -209,10 +209,19 @@ std::optional<StateKey> project_to_parent(StateKey child_state,
                                           const Pattern& pattern,
                                           const BagContext& child_ctx,
                                           const PositionMap& pos_map) {
+  return project_to_parent(child_state, view_of(codec, child_state.code),
+                           codec, pattern, child_ctx, pos_map);
+}
+
+std::optional<StateKey> project_to_parent(StateKey child_state,
+                                          const StateView& child_view,
+                                          const StateCodec& codec,
+                                          const Pattern& pattern,
+                                          const BagContext& child_ctx,
+                                          const PositionMap& pos_map) {
   // U and C fields project to themselves, so only the mapped fields need
   // rewriting: keep the shared ones (re-addressed via the table), turn
   // forgotten ones into C after the forgotten-vertex soundness check.
-  const StateView child_view = view_of(codec, child_state.code);
   StateKey sig;
   sig.code = child_state.code;
   std::uint32_t mm = child_view.mapped_mask;

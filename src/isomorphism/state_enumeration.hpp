@@ -393,6 +393,15 @@ std::optional<StateKey> project_to_parent(StateKey child_state,
                                           const BagContext& child_ctx,
                                           const PositionMap& pos_map);
 
+/// The PositionMap overload for a caller that already holds the decoded
+/// view of `child_state.code` (`child_view` must equal view_of of it).
+std::optional<StateKey> project_to_parent(StateKey child_state,
+                                          const StateView& child_view,
+                                          const StateCodec& codec,
+                                          const Pattern& pattern,
+                                          const BagContext& child_ctx,
+                                          const PositionMap& pos_map);
+
 /// The signature a child must have for `parent_state` to be supported,
 /// given that the pattern vertices in `child_c_mask` (a subset of the
 /// parent's C set) are matched inside this child's subtree and the child's

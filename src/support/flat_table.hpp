@@ -2,12 +2,11 @@
 
 // Open-addressing flat hash map with 32-bit mapped values.
 //
-// The DP engines map a packed partial-match key to its index in a state
-// array: the sparse engine dedups each node's states while it builds the
-// node, and the match-DAG path solve indexes its per-path-node candidates.
-// The tables sit on the hottest lookup path of the engine, so the layout is a
-// single contiguous bucket array (key + value side by side), probed
-// linearly from a power-of-two hash slot:
+// The match-DAG path solve (isomorphism/match_dag.cpp) maps a packed
+// partial-match key to its index in a per-path-node candidate array, and
+// its projections to their DAG vertex ids. The tables sit on a hot lookup
+// path, so the layout is a single contiguous bucket array (key + value
+// side by side), probed linearly from a power-of-two hash slot:
 //   * no per-node heap graph (std::unordered_map allocates one node per
 //     entry and chases a pointer per probe),
 //   * `reserve(n)` performs the single exact allocation for n entries
@@ -18,8 +17,8 @@
 // The mapped value doubles as the bucket-empty sentinel, so kFlatNotFound
 // (0xffffffff) is not a storable value — state indices are bounded far
 // below it. Growth (when a caller inserts past the load cap without an
-// exact reserve) doubles the bucket array; iteration order is unspecified
-// and never observed by the engine (see for_each's doc note).
+// exact reserve) doubles the bucket array. There is no iteration: the
+// bucket order is a layout detail nothing may depend on.
 
 #include <cstddef>
 #include <cstdint>
@@ -96,15 +95,6 @@ class FlatMap {
       if (b.key == key) return false;
       i = (i + 1) & mask;
     }
-  }
-
-  /// Visits every (key, value) pair in unspecified (layout) order. Callers
-  /// must not depend on the order; the engine only iterates to rebuild
-  /// order-insensitive structures (tested under shuffled insertions).
-  template <class Fn>
-  void for_each(Fn&& fn) const {
-    for (const Bucket& b : buckets_)
-      if (b.value != kFlatNotFound) fn(b.key, b.value);
   }
 
  private:

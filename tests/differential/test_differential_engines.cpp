@@ -13,6 +13,7 @@
 #include "isomorphism/pattern.hpp"
 #include "isomorphism/sequential_dp.hpp"
 #include "isomorphism/sparse_dp.hpp"
+#include "testing/dp_checks.hpp"
 #include "testing/random_inputs.hpp"
 #include "testing/witness_checks.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
@@ -61,6 +62,9 @@ TEST_P(EngineEquivalence, ParallelAndSparseMatchSequential) {
   const DpSolution par = solve_parallel(g, td, pattern, {}, &stats);
 
   expect_identical_solutions(seq, sparse, td, context + " [sparse]");
+  // The sparse engine builds its signature groups as it discovers states.
+  testing::expect_reference_sig_groups(sparse, td, pattern,
+                                       context + " [sparse]");
   expect_identical_solutions(seq, par, td, context + " [parallel]");
 
   // Same occurrences, not just same state tables.

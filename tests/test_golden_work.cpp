@@ -40,6 +40,7 @@
 #include "isomorphism/sequential_dp.hpp"
 #include "isomorphism/sparse_dp.hpp"
 #include "support/rng.hpp"
+#include "testing/dp_checks.hpp"
 #include "testing/random_inputs.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
@@ -219,6 +220,7 @@ TEST(GoldenWork, EnginesReproduceRecordedFigures) {
     EXPECT_EQ(par.accepting.size(), want.accepting) << c.name;
     EXPECT_EQ(sparse.accepting.size(), want.accepting) << c.name;
     EXPECT_EQ(state_order(sparse), want.sparse_order) << c.name;
+    testing::expect_reference_sig_groups(sparse, td, c.pattern, c.name);
   }
 }
 

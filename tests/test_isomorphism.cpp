@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "baseline/ullmann.hpp"
@@ -15,6 +16,7 @@
 #include "isomorphism/pattern.hpp"
 #include "isomorphism/sequential_dp.hpp"
 #include "isomorphism/sparse_dp.hpp"
+#include "testing/dp_checks.hpp"
 #include "testing/witness_checks.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
@@ -24,6 +26,10 @@ namespace {
 treedecomp::TreeDecomposition decomposition_of(const Graph& g) {
   return treedecomp::binarize(treedecomp::greedy_decomposition(g));
 }
+
+using Engine = DpSolution (*)(const Graph&,
+                              const treedecomp::TreeDecomposition&,
+                              const Pattern&, const DpOptions&);
 
 // ---- Codec ----
 
@@ -413,6 +419,27 @@ TEST(DpEdgeCases, PatternLargerThanTarget) {
 // solve on a thread that has just solved a larger instance must equal the
 // same solve on a fresh thread: same states in the same order per node,
 // same accepting root states, same work and rounds.
+// A solve that throws mid-node: a one-bag decomposition of a 25-leaf
+// star (centre at position 0) with a separating K1 pattern. The sparse
+// engine emits the two all-unmapped states, then mapping the centre
+// leaves 25 free components and trips its 24-component limit.
+void throw_mid_node(const Engine engine) {
+  const Graph star = gen::star_graph(26);
+  treedecomp::TreeDecomposition td;
+  td.bags.emplace_back(26);
+  std::iota(td.bags[0].begin(), td.bags[0].end(), Vertex{0});
+  td.parent = {treedecomp::kNoNode};
+  td.root = 0;
+  td.finalize();
+  DpOptions options;
+  options.spec.enabled = true;
+  options.spec.allowed.assign(26, 1);
+  options.spec.in_s.assign(26, 1);
+  options.spec.in_s[0] = 0;
+  const Pattern k1 = Pattern::from_graph(gen::complete_graph(1));
+  EXPECT_THROW(engine(star, td, k1, options), std::invalid_argument);
+}
+
 TEST(ScratchReuse, SmallSolveAfterLargeMatchesAFreshThread) {
   const Graph large = gen::grid_graph(6, 6);
   const Graph small = gen::grid_graph(3, 4);
@@ -420,9 +447,6 @@ TEST(ScratchReuse, SmallSolveAfterLargeMatchesAFreshThread) {
   const Pattern path3 = Pattern::from_graph(gen::path_graph(3));
   const auto large_td = decomposition_of(large);
   const auto small_td = decomposition_of(small);
-  using Engine = DpSolution (*)(const Graph&,
-                                const treedecomp::TreeDecomposition&,
-                                const Pattern&, const DpOptions&);
   for (const Engine engine : {&solve_sparse, &solve_sequential}) {
     for (const bool release : {false, true}) {
       DpOptions large_options;
@@ -432,15 +456,22 @@ TEST(ScratchReuse, SmallSolveAfterLargeMatchesAFreshThread) {
       small_options.spec = colour_class_spec(3, 4);
       small_options.release_interior = release;
       engine(large, large_td, cycle6, large_options);
+      // The sparse engine's scratch dedup set must not carry the thrown
+      // node's states into the next solve.
+      if (engine == &solve_sparse) throw_mid_node(engine);
       const DpSolution reused = engine(small, small_td, path3, small_options);
       DpSolution fresh;
       std::thread([&] {
         fresh = engine(small, small_td, path3, small_options);
       }).join();
       ASSERT_EQ(reused.nodes.size(), fresh.nodes.size());
-      for (std::size_t x = 0; x < fresh.nodes.size(); ++x)
-        EXPECT_EQ(reused.nodes[x].states, fresh.nodes[x].states)
-            << "node " << x << " release " << release;
+      for (std::size_t x = 0; x < fresh.nodes.size(); ++x) {
+        const std::string context =
+            "node " + std::to_string(x) + " release " + std::to_string(release);
+        EXPECT_EQ(reused.nodes[x].states, fresh.nodes[x].states) << context;
+        testing::expect_same_sig_groups(reused.nodes[x], fresh.nodes[x],
+                                        context);
+      }
       EXPECT_TRUE(fresh.accepted);
       EXPECT_EQ(reused.accepting, fresh.accepting);
       EXPECT_EQ(reused.metrics.work(), fresh.metrics.work());

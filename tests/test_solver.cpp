@@ -445,20 +445,26 @@ TEST(SolverScratch, AllocationCounterGoesFlatAcrossRepeatedQueries) {
     ~ThreadPin() { omp_set_num_threads(saved); }
   } pin;
   Solver solver(gen::grid_graph(8, 8));
-  QueryOptions opts;
-  opts.max_runs = 3;
-  opts.engine = EngineKind::kSequential;
   const Pattern c4 = cycle_pattern(4);
-  const auto cold = solver.find(c4, opts);
-  ASSERT_TRUE(cold.ok());
-  const auto warm = solver.find(c4, opts);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->metrics.allocs(), 0u)
-      << "steady-state scratch allocation in the DP engine";
-  // The scratch high-water mark is visible and stable.
-  EXPECT_GT(warm->metrics.scratch_peak_bytes(), 0u);
-  EXPECT_EQ(warm->metrics.scratch_peak_bytes(),
-            cold->metrics.scratch_peak_bytes());
+  // The sparse engine is the default; its per-node dedup set is scratch
+  // too.
+  for (const auto engine : {EngineKind::kSequential, EngineKind::kSparse}) {
+    QueryOptions opts;
+    opts.max_runs = 3;
+    opts.engine = engine;
+    const auto cold = solver.find(c4, opts);
+    ASSERT_TRUE(cold.ok());
+    const auto warm = solver.find(c4, opts);
+    ASSERT_TRUE(warm.ok());
+    EXPECT_EQ(warm->metrics.allocs(), 0u)
+        << "steady-state scratch allocation in the DP engine "
+        << static_cast<int>(engine);
+    // The scratch high-water mark is visible and stable.
+    EXPECT_GT(warm->metrics.scratch_peak_bytes(), 0u);
+    EXPECT_EQ(warm->metrics.scratch_peak_bytes(),
+              cold->metrics.scratch_peak_bytes())
+        << static_cast<int>(engine);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -183,20 +183,17 @@ iso::DpSolution solve_slice(const Slice& slice,
                             bool release_interior,
                             const support::CancelScope& cancel) {
   PPSI_FAULT_POINT("solver.slice");
-  if (options.engine != cover::EngineKind::kParallel) {
-    iso::DpOptions dp;
-    dp.spec = slice.spec;
-    dp.release_interior = release_interior;
-    dp.cancel = cancel;  // per-node checks preempt mid-slice
-    return options.engine == cover::EngineKind::kSequential
-               ? iso::solve_sequential(slice.graph, td, pattern, dp)
-               : iso::solve_sparse(slice.graph, td, pattern, dp);
-  }
-  iso::ParallelOptions par;
-  par.spec = slice.spec;
-  par.release_interior = release_interior;
-  par.cancel = cancel;  // path tasks of an obsolete slice skip themselves
-  return iso::solve_parallel(slice.graph, td, pattern, par);
+  iso::ParallelOptions dp;
+  dp.spec = slice.spec;
+  dp.release_interior = release_interior;
+  // Polled per node (sequential, sparse) or per path task (parallel), so
+  // an obsolete slice stops mid-solve.
+  dp.cancel = cancel;
+  if (options.engine == cover::EngineKind::kParallel)
+    return iso::solve_parallel(slice.graph, td, pattern, dp);
+  return options.engine == cover::EngineKind::kSequential
+             ? iso::solve_sequential(slice.graph, td, pattern, dp)
+             : iso::solve_sparse(slice.graph, td, pattern, dp);
 }
 
 /// One slice's task result. `solved` means the task ran to completion;

@@ -43,8 +43,6 @@ struct PathNodeMeta {
   std::uint32_t id = 0;          ///< treedecomp::NodeId
   std::uint32_t base = 0;        ///< first DAG vertex id of this node
   std::uint32_t side = 0;        ///< side-child NodeId (valid when has_side)
-  std::uint64_t side_shared = 0;
-  std::uint64_t path_shared = 0;
   const StateKey* states = nullptr;  ///< candidate states (span)
   std::uint32_t num_states = 0;
   bool has_side = false;

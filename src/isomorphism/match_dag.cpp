@@ -1,9 +1,9 @@
 #include "isomorphism/match_dag.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "isomorphism/dp_scratch.hpp"
+#include "isomorphism/parallel_engine.hpp"
 #include "treepath/tree_paths.hpp"
 
 namespace ppsi::iso {
@@ -28,17 +28,17 @@ constexpr std::uint32_t kNoTarget = 0xffffffffu;
 PathStats solve_path(const treedecomp::TreeDecomposition& td,
                      const Pattern& pattern,
                      std::span<const treedecomp::NodeId> nodes,
-                     const PathSolveConfig& config, DpSolution& solution) {
+                     const ParallelOptions& options, DpSolution& solution) {
   PathStats stats;
   stats.path_length = nodes.size();
   const StateCodec& codec = solution.codec;
-  const bool sep = config.separating;
+  const bool sep = solution.separating;
   DpScratch& scratch = DpScratch::local();
   const std::uint64_t allocs_before = scratch.arena.alloc_events();
 
   // ---- X_1: exact solve against its (already solved) children. ----
   std::uint64_t work = 0;
-  detail::solve_node_exact(td, pattern, nodes.front(), sep, solution, &work);
+  detail::solve_node_exact(td, pattern, nodes.front(), solution, &work);
   stats.enumerated_states += solution.nodes[nodes.front()].states.size();
 
   const std::size_t p = nodes.size();
@@ -85,11 +85,7 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
                            "solve_path: more than one side child");
           pn.has_side = true;
           pn.side = kid;
-          pn.side_shared = shared_position_mask(solution.nodes[pn.id].ctx,
-                                                solution.nodes[kid].ctx);
         }
-        pn.path_shared = shared_position_mask(
-            solution.nodes[pn.id].ctx, solution.nodes[nodes[j - 1]].ctx);
       }
       pn.base = next_vertex;
       next_vertex += pn.num_states;
@@ -120,8 +116,9 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
       const PositionMap lo_to_hi = make_position_map(lo_ctx, hi_ctx);
       for (std::uint32_t i = 0; i < lo.num_states; ++i) {
         ++work;
-        const auto proj = project_to_parent(lo.states[i], codec, pattern,
-                                            lo_ctx, lo_to_hi);
+        const StateKey state = lo.states[i];
+        const auto proj = project_to_parent(state, view_of(codec, state.code),
+                                            codec, pattern, lo_ctx, lo_to_hi);
         if (!proj.has_value()) continue;
         std::uint32_t pi_id = pi_map.find(*proj);
         if (pi_id == support::kFlatNotFound) {
@@ -146,8 +143,11 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
       // below depends on it); every combo ticks one unit of work.
       const SolvedNode* side_solved =
           hi.has_side ? &solution.nodes[hi.side] : nullptr;
-      const detail::ChildLink side_link{hi.has_side, hi.side_shared};
-      const detail::ChildLink path_link{true, hi.path_shared};
+      const detail::ChildLink side_link{
+          hi.has_side,
+          hi.has_side ? side_solved->shared_with_parent : 0};
+      const detail::ChildLink path_link{
+          true, solution.nodes[lo.id].shared_with_parent};
       for (std::uint32_t i = 0; i < hi.num_states; ++i) {
         detail::for_each_support_combo(
             codec, hi_ctx, hi.states[i], side_link, path_link, sep,
@@ -172,7 +172,7 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
     }
 
     // ---- Shortcuts on the translation forest (Lemma 3.3). ----
-    if (!sep && config.use_shortcuts && num_state_vertices > 0) {
+    if (!sep && options.use_shortcuts && num_state_vertices > 0) {
       std::vector<std::uint32_t>& parent = scratch.forest_parent;
       scratch.arena.acquire(parent, num_state_vertices);
       parent.assign(translate_target.begin(), translate_target.end());
@@ -261,7 +261,7 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
     // ---- Install valid states (exact-sized storage per node). ----
     for (std::size_t j = 1; j < p; ++j) {
       const PathNodeMeta& pn = path[j];
-      if (config.release_interior && j + 1 < p) continue;  // freed below
+      if (options.release_interior && j + 1 < p) continue;  // freed below
       SolvedNode& out = solution.nodes[pn.id];
       std::uint32_t valid = 0;
       for (std::uint32_t i = 0; i < pn.num_states; ++i)
@@ -280,10 +280,10 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
   // recovery alone (the path parent consumed them through the DAG), and
   // they are about to be freed as children of the next path node.
   for (const NodeId x : nodes) {
-    if (config.release_interior && x != nodes.back()) continue;
+    if (options.release_interior && x != nodes.back()) continue;
     detail::build_sig_groups(td, pattern, x, solution);
   }
-  if (config.release_interior) {
+  if (options.release_interior) {
     // Every child of a path node has now been consumed: side children and
     // the bottom node's children via the exact solve / DAG gating, interior
     // path nodes as the path children of their successors.

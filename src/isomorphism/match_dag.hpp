@@ -45,26 +45,20 @@ struct PathStats {
   std::size_t path_length = 0;
 };
 
-struct PathSolveConfig {
-  bool separating = false;
-  bool use_shortcuts = true;  ///< Lemma 3.3 shortcuts (base mode only)
-  /// Decision-only: skip interior signature builds and free consumed
-  /// children eagerly (see DpOptions::release_interior).
-  bool release_interior = false;
-};
+struct ParallelOptions;  // parallel_engine.hpp
 
 /// Solves the path `nodes` (bottom to top). Side children of path nodes
 /// must already be solved in `solution`; on return every path node's
 /// SolvedNode holds its valid states and its signature index toward its
 /// tree parent. X_1 (= nodes.front()) is solved exactly against its
 /// children; the remaining nodes are solved by shortcut reachability.
-/// Every node's ctx must be set. Thread-safe for distinct paths
-/// (per-thread scratch; writes only the states and signature groups of
-/// the SolvedNodes of `nodes` and of their already-consumed children, and
-/// reads other nodes' ctx, which no path writes).
+/// `solution` comes from detail::prepare_solution. Thread-safe for
+/// distinct paths (per-thread scratch; writes only the states and signature
+/// groups of the SolvedNodes of `nodes` and of their consumed children, and
+/// reads other nodes' ctx and shared_with_parent, which no path writes).
 PathStats solve_path(const treedecomp::TreeDecomposition& td,
                      const Pattern& pattern,
                      std::span<const treedecomp::NodeId> nodes,
-                     const PathSolveConfig& config, DpSolution& solution);
+                     const ParallelOptions& options, DpSolution& solution);
 
 }  // namespace ppsi::iso

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/fault.hpp"
-#include "support/parallel.hpp"
 #include "support/scheduler.hpp"
 #include "treepath/tree_paths.hpp"
 
@@ -18,16 +17,15 @@ namespace {
 void run_paths_task_graph(const treedecomp::TreeDecomposition& td,
                           const Pattern& pattern,
                           const treepath::PathDecomposition& paths,
-                          const PathSolveConfig& config,
-                          const support::CancelScope& cancel,
-                          DpSolution& sol, std::vector<PathStats>& per_path) {
+                          const ParallelOptions& options, DpSolution& sol,
+                          std::vector<PathStats>& per_path) {
   const std::size_t num_paths = paths.paths.size();
   support::TaskGraph graph;
   for (std::size_t pi = 0; pi < num_paths; ++pi) {
     graph.add([&, pi] {
-      if (cancel.cancelled()) return;  // owning slice query already accepted
+      if (options.cancel.cancelled()) return;  // slice query already done
       PPSI_FAULT_POINT("engine.path");
-      per_path[pi] = solve_path(td, pattern, paths.paths[pi], config, sol);
+      per_path[pi] = solve_path(td, pattern, paths.paths[pi], options, sol);
     });
   }
   for (std::uint32_t pi = 0; pi < num_paths; ++pi) {
@@ -46,43 +44,25 @@ DpSolution solve_parallel(const Graph& g,
                           const Pattern& pattern,
                           const ParallelOptions& options,
                           ParallelStats* stats) {
-  const bool separating = options.spec.enabled;
-  support::require(td.is_binary(), "solve_parallel: binary tree required");
-  DpSolution sol;
-  sol.separating = separating;
-  std::size_t max_bag = 1;
-  for (const auto& bag : td.bags) max_bag = std::max(max_bag, bag.size());
-  sol.codec =
-      StateCodec::make(pattern.size(), static_cast<std::uint32_t>(max_bag));
-  const ParityPin pin = parity_pin(g, options.spec, pattern);
-  sol.nodes.resize(td.num_nodes());
-  support::parallel_for(0, td.num_nodes(), [&](std::size_t x) {
-    sol.nodes[x].ctx = make_bag_context(g, td.bags[x], options.spec, pin);
-  });
+  DpSolution sol = detail::prepare_solution(g, td, pattern, options.spec);
 
   // Lemma 3.2: layered path decomposition of the decomposition tree.
   treepath::Forest forest;
   forest.parent.assign(td.parent.begin(), td.parent.end());
   support::Metrics contraction_metrics;
-  std::vector<std::uint32_t> layers =
-      options.use_tree_contraction
-          ? treepath::layer_numbers_contraction(forest, &contraction_metrics)
-          : treepath::layer_numbers_sequential(forest);
-  const treepath::PathDecomposition paths =
-      treepath::decompose_into_paths(forest, std::move(layers));
+  const treepath::PathDecomposition paths = treepath::decompose_into_paths(
+      forest,
+      treepath::layer_numbers_contraction(forest, &contraction_metrics));
   sol.metrics.absorb(contraction_metrics);
 
   ParallelStats local_stats;
   local_stats.num_layers = paths.num_layers;
   local_stats.num_paths = static_cast<std::uint32_t>(paths.paths.size());
 
-  const PathSolveConfig config{separating, options.use_shortcuts,
-                               options.release_interior};
   // One per-solve stats array indexed by path id (hoisted out of the old
   // per-layer loop); tasks write disjoint slots.
   std::vector<PathStats> per_path(paths.paths.size());
-  run_paths_task_graph(td, pattern, paths, config, options.cancel, sol,
-                       per_path);
+  run_paths_task_graph(td, pattern, paths, options, sol, per_path);
 
   // Canonical-order fold: identical arithmetic to the old per-layer loop,
   // independent of the order the path tasks ran in. The critical path
@@ -106,15 +86,7 @@ DpSolution solve_parallel(const Graph& g,
   }
   local_stats.contraction_rounds = contraction_metrics.rounds();
 
-  const SolvedNode& root = sol.nodes[td.root];
-  for (std::uint32_t i = 0; i < root.states.size(); ++i) {
-    const StateView view = view_of(sol.codec, root.states[i].code);
-    const bool ok_sep =
-        !separating || ((root.states[i].sep & kSepIx) != 0 &&
-                        (root.states[i].sep & kSepOx) != 0);
-    if (view.u_mask == 0 && ok_sep) sol.accepting.push_back(i);
-  }
-  sol.accepted = !sol.accepting.empty();
+  detail::collect_accepting(sol, td.root);
   if (stats != nullptr) *stats = local_stats;
   return sol;
 }

@@ -5,6 +5,8 @@
 // The decomposition tree is split into layered paths (Lemma 3.2, computed
 // with the Appendix A tree-contraction evaluation); each path is solved
 // through the shortcut reachability of its partial-match DAG (§3.3.2–3.3.3).
+// Setup and accepting scan are the other engines' (sequential_dp.hpp), so
+// every node's ctx and shared-position mask exist before any path task.
 //
 // Scheduling: by default every path is one task in a support::TaskGraph
 // whose ready-counter is its number of child paths, so a path starts the
@@ -20,20 +22,13 @@
 
 namespace ppsi::iso {
 
-struct ParallelOptions {
-  SeparatingSpec spec;       ///< separating configuration
-  bool use_shortcuts = true; ///< Lemma 3.3 shortcuts (base mode only)
-  /// Layer numbers via Appendix A tree contraction (otherwise sequential).
-  bool use_tree_contraction = true;
-  /// Decision-only: free solved nodes as soon as their parent consumed
-  /// them (see DpOptions::release_interior).
-  bool release_interior = false;
-  /// Cooperative cancellation: once the scope reports cancelled, remaining
-  /// path tasks skip themselves. A cancelled solve returns early with a
-  /// partial solution whose outputs and metrics MUST be discarded by the
-  /// caller (api/solver.cpp's deterministic replay never reads cancelled
-  /// slices).
-  support::CancelScope cancel;
+/// The shared DpOptions plus the shortcut switch. Cancellation is polled
+/// per path task rather than per node: once the scope reports cancelled,
+/// the remaining path tasks skip themselves, and the partial solution's
+/// outputs and metrics MUST be discarded by the caller (api/solver.cpp's
+/// deterministic replay never reads cancelled slices).
+struct ParallelOptions : DpOptions {
+  bool use_shortcuts = true;  ///< Lemma 3.3 shortcuts (base mode only)
 };
 
 struct ParallelStats {

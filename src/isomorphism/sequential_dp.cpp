@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <memory>
 #include <numeric>
 #include <span>
 
 #include "isomorphism/dp_scratch.hpp"
-#include "support/fault.hpp"
 
 namespace ppsi::iso {
 
@@ -29,7 +27,6 @@ NodeEnv make_env(const treedecomp::TreeDecomposition& td,
                  treedecomp::NodeId x) {
   NodeEnv env;
   const auto& kids = td.children[x];
-  support::require(kids.size() <= 2, "solve: binary decomposition required");
   if (!kids.empty()) {
     env.left_node = &nodes[kids[0]];
     env.left = {true, env.left_node->shared_with_parent};
@@ -41,24 +38,53 @@ NodeEnv make_env(const treedecomp::TreeDecomposition& td,
   return env;
 }
 
-bool accepting_state(const StateCodec& codec, bool separating, StateKey s) {
-  const StateView view = view_of(codec, s.code);
-  if (view.u_mask != 0) return false;
-  if (separating)
-    return (s.sep & kSepIx) != 0 && (s.sep & kSepOx) != 0;
-  return true;
-}
-
 }  // namespace
 
 namespace detail {
 
+DpSolution prepare_solution(const Graph& g,
+                            const treedecomp::TreeDecomposition& td,
+                            const Pattern& pattern,
+                            const SeparatingSpec& spec) {
+  support::require(td.is_binary(), "solve: binary decomposition required");
+  DpSolution sol;
+  sol.separating = spec.enabled;
+  std::size_t max_bag = 1;
+  for (const auto& bag : td.bags) max_bag = std::max(max_bag, bag.size());
+  sol.codec =
+      StateCodec::make(pattern.size(), static_cast<std::uint32_t>(max_bag));
+  const ParityPin pin = parity_pin(g, spec, pattern);
+  sol.nodes.resize(td.num_nodes());
+  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
+    sol.nodes[x].ctx = make_bag_context(g, td.bags[x], spec, pin);
+  // Children read their parent's coordinates, so the masks need every
+  // context first.
+  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x) {
+    if (td.parent[x] == treedecomp::kNoNode) continue;
+    sol.nodes[x].shared_with_parent =
+        shared_position_mask(sol.nodes[td.parent[x]].ctx, sol.nodes[x].ctx);
+  }
+  return sol;
+}
+
+void collect_accepting(DpSolution& solution, treedecomp::NodeId root) {
+  const std::vector<StateKey>& states = solution.nodes[root].states;
+  for (std::uint32_t i = 0; i < states.size(); ++i) {
+    const bool sep_ok = !solution.separating ||
+                        ((states[i].sep & kSepIx) != 0 &&
+                         (states[i].sep & kSepOx) != 0);
+    if (sep_ok && view_of(solution.codec, states[i].code).u_mask == 0)
+      solution.accepting.push_back(i);
+  }
+  solution.accepted = !solution.accepting.empty();
+}
+
 void solve_node_exact(const treedecomp::TreeDecomposition& td,
                       const Pattern& pattern, treedecomp::NodeId x,
-                      bool separating, DpSolution& solution,
-                      std::uint64_t* work) {
+                      DpSolution& solution, std::uint64_t* work) {
   SolvedNode& node = solution.nodes[x];
   const StateCodec& codec = solution.codec;
+  const bool separating = solution.separating;
   const NodeEnv env = make_env(td, solution.nodes, x);
   // Survivors stage through the thread's scratch; the node's states are
   // then sized exactly, so a solved node never carries growth slack and
@@ -95,17 +121,18 @@ void build_sig_groups(const treedecomp::TreeDecomposition& td,
                       DpSolution& solution) {
   SolvedNode& node = solution.nodes[x];
   if (td.parent[x] == treedecomp::kNoNode) return;
-  const BagContext& parent_ctx = solution.nodes[td.parent[x]].ctx;
-  node.shared_with_parent = shared_position_mask(parent_ctx, node.ctx);
   DpScratch& scratch = DpScratch::local();
   auto& pairs = scratch.sig_pairs;
   scratch.arena.acquire(pairs, node.states.size());
   // One merge builds the child->parent position table; each projection
   // then re-addresses via table loads instead of per-vertex binary search.
-  const PositionMap pos_map = make_position_map(node.ctx, parent_ctx);
+  const PositionMap pos_map =
+      make_position_map(node.ctx, solution.nodes[td.parent[x]].ctx);
+  const StateCodec& codec = solution.codec;
   for (std::uint32_t i = 0; i < node.states.size(); ++i) {
-    const auto sig = project_to_parent(node.states[i], solution.codec,
-                                       pattern, node.ctx, pos_map);
+    const StateKey state = node.states[i];
+    const auto sig = project_to_parent(state, view_of(codec, state.code),
+                                       codec, pattern, node.ctx, pos_map);
     if (sig.has_value()) pairs.emplace_back(*sig, i);
   }
   node.sig_groups.build(pairs);
@@ -116,58 +143,12 @@ void build_sig_groups(const treedecomp::TreeDecomposition& td,
 DpSolution solve_sequential(const Graph& g,
                             const treedecomp::TreeDecomposition& td,
                             const Pattern& pattern, const DpOptions& options) {
-  const bool separating = options.spec.enabled;
-  DpSolution sol;
-  sol.separating = separating;
-  std::size_t max_bag = 1;
-  for (const auto& bag : td.bags) max_bag = std::max(max_bag, bag.size());
-  sol.codec = StateCodec::make(pattern.size(),
-                               static_cast<std::uint32_t>(max_bag));
-  const StateCodec& codec = sol.codec;
-
-  // Build every bag context up front (children need the parent's
-  // coordinates).
-  const ParityPin pin = parity_pin(g, options.spec, pattern);
-  sol.nodes.resize(td.num_nodes());
-  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
-    sol.nodes[x].ctx = make_bag_context(g, td.bags[x], options.spec, pin);
-
-  std::uint64_t work = 0;
-  detail::DpScratch& scratch = detail::DpScratch::local();
-  const std::uint64_t allocs_before = scratch.arena.alloc_events();
-  bool preempted = false;
-  for (treedecomp::NodeId x : bottom_up_order(td)) {
-    // Deadline/token preemption point: one check per node keeps the poll
-    // cost negligible against a node's solve work while bounding the
-    // overshoot to a single node. The partial solution is discarded by
-    // the caller (its own scope check sees the same monotone sources).
-    if (options.cancel.cancelled()) {
-      preempted = true;
-      break;
-    }
-    PPSI_FAULT_POINT("dp.node");
-    detail::solve_node_exact(td, pattern, x, separating, sol, &work);
-    detail::build_sig_groups(td, pattern, x, sol);
-    sol.metrics.add_rounds(1);
-    if (options.release_interior) {
-      // x consumed its children's signature groups; nothing reads them (or
-      // the children's states) again in a decision-only run.
-      for (const treedecomp::NodeId kid : td.children[x])
-        sol.nodes[kid].release_interior();
-    }
-  }
-  sol.metrics.add_work(work);
-  sol.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);
-  sol.metrics.note_scratch_peak(scratch.arena.peak_bytes());
-  if (preempted) return sol;  // partial; accepted stays false
-
-  const SolvedNode& root = sol.nodes[td.root];
-  for (std::uint32_t i = 0; i < root.states.size(); ++i) {
-    if (accepting_state(codec, separating, root.states[i]))
-      sol.accepting.push_back(i);
-  }
-  sol.accepted = !sol.accepting.empty();
-  return sol;
+  return detail::solve_bottom_up(
+      g, td, pattern, options,
+      [&](DpSolution& sol, treedecomp::NodeId x, std::uint64_t& work) {
+        detail::solve_node_exact(td, pattern, x, sol, &work);
+        detail::build_sig_groups(td, pattern, x, sol);
+      });
 }
 
 namespace {
@@ -289,26 +270,17 @@ class Recoverer {
       acc.insert(base.data());
     } else {
       // Re-derive the support combos and expand through every valid pair.
-      ChildLink left{true, shared_position_mask(node.ctx,
-                                                sol_.nodes[kids[0]].ctx)};
-      ChildLink right;
-      const SolvedNode* lnode = &sol_.nodes[kids[0]];
-      const SolvedNode* rnode = nullptr;
-      if (kids.size() == 2) {
-        right = {true,
-                 shared_position_mask(node.ctx, sol_.nodes[kids[1]].ctx)};
-        rnode = &sol_.nodes[kids[1]];
-      }
+      const NodeEnv env = make_env(td_, sol_.nodes, x);
       detail::for_each_support_combo(
-          sol_.codec, node.ctx, state, left, right, sol_.separating,
+          sol_.codec, node.ctx, state, env.left, env.right, sol_.separating,
           [&](const StateKey* sl, const StateKey* sr) {
             std::span<const std::uint32_t> lgroup, rgroup;
             if (sl != nullptr) {
-              lgroup = lnode->sig_groups.group(*sl);
+              lgroup = env.left_node->sig_groups.group(*sl);
               if (lgroup.empty()) return false;
             }
             if (sr != nullptr) {
-              rgroup = rnode->sig_groups.group(*sr);
+              rgroup = env.right_node->sig_groups.group(*sr);
               if (rgroup.empty()) return false;
             }
             combine(kids, base.data(), sl != nullptr ? &lgroup : nullptr,

@@ -25,8 +25,13 @@
 // copies them once, and the signature groups take one allocation. The
 // scratch arena supplies every intermediate buffer, the sparse engine's
 // state-dedup set included, so the engines do no steady-state scratch
-// allocation after warmup. The node's bag context (`ctx`) is built once,
-// in place, before the bottom-up pass; children read their parent's.
+// allocation after warmup.
+//
+// All three engines start from detail::prepare_solution, which builds the
+// codec, every node's bag context (`ctx`) and every non-root node's
+// shared-position mask before any node is solved, and end with
+// detail::collect_accepting. solve_sequential and solve_sparse also share
+// the bottom-up pass (detail::solve_bottom_up); only their kernels differ.
 //
 // Instrumented work counts are *layout-invariant*: the counters tick per
 // candidate state, per support combination, and per DAG edge scanned —
@@ -42,13 +47,14 @@
 // it unset.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "isomorphism/dp_scratch.hpp"
 #include "isomorphism/pattern.hpp"
 #include "isomorphism/sig_index.hpp"
 #include "isomorphism/state_enumeration.hpp"
+#include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "support/scheduler.hpp"
 #include "treedecomp/tree_decomposition.hpp"
@@ -64,8 +70,8 @@ struct SolvedNode {
   std::vector<StateKey> states;  ///< valid states, in discovery order
   /// CSR groups: projection toward the parent -> valid-state indices.
   SigIndex sig_groups;
-  /// Parent-bag positions whose vertex is also in this bag; set with
-  /// sig_groups, read by the parent's solve.
+  /// Parent-bag positions whose vertex is also in this bag; set for every
+  /// non-root node by the setup, before any node is solved.
   std::uint64_t shared_with_parent = 0;
 
   /// Frees the solved storage (decision-only queries, once the parent has
@@ -279,23 +285,71 @@ bool for_each_support_combo_ref(const StateCodec& codec, const BagContext& ctx,
   return false;
 }
 
+/// The setup every engine starts from: the codec sized by the widest bag,
+/// the separating flag, every node's bag context (with the run's parity
+/// pin) and every non-root node's shared_with_parent. Throws unless `td`
+/// is binary.
+DpSolution prepare_solution(const Graph& g,
+                            const treedecomp::TreeDecomposition& td,
+                            const Pattern& pattern, const SeparatingSpec& spec);
+
+/// Fills solution.accepting and accepted from the root's states: no
+/// pattern vertex left U and, when separating, both ix and ox set.
+void collect_accepting(DpSolution& solution, treedecomp::NodeId root);
+
 /// Solves one node exactly against its (already solved) children:
 /// enumerates the locally valid states and keeps the supported ones.
 /// Fills solution.nodes[x].states exactly sized, staging through the
-/// thread's scratch; sig_groups are built separately. The node's ctx must
-/// be set, and every child must already have its sig_groups and
-/// shared_with_parent built.
+/// thread's scratch; sig_groups are built separately. Every child must
+/// already have its sig_groups built.
 void solve_node_exact(const treedecomp::TreeDecomposition& td,
                       const Pattern& pattern, treedecomp::NodeId x,
-                      bool separating, DpSolution& solution,
-                      std::uint64_t* work);
+                      DpSolution& solution, std::uint64_t* work);
 
 /// Builds solution.nodes[x].sig_groups (projections toward the parent)
-/// and shared_with_parent from the node's states and the ctx of x and of
-/// its parent.
+/// from the node's states and the ctx of x and of its parent.
 void build_sig_groups(const treedecomp::TreeDecomposition& td,
                       const Pattern& pattern, treedecomp::NodeId x,
                       DpSolution& solution);
+
+/// The bottom-up pass of solve_sequential and solve_sparse: prepares the
+/// solution, then calls solve_node(solution, x, work) per node, children
+/// first, `work` being the pass's work counter. Each node is one round.
+/// A cancelled pass stops at the next node and returns its partial
+/// solution with accepted == false.
+template <class SolveNode>
+DpSolution solve_bottom_up(const Graph& g,
+                           const treedecomp::TreeDecomposition& td,
+                           const Pattern& pattern, const DpOptions& options,
+                           SolveNode&& solve_node) {
+  DpSolution sol = prepare_solution(g, td, pattern, options.spec);
+  std::uint64_t work = 0;
+  DpScratch& scratch = DpScratch::local();
+  const std::uint64_t allocs_before = scratch.arena.alloc_events();
+  bool preempted = false;
+  for (const treedecomp::NodeId x : bottom_up_order(td)) {
+    // One poll per node bounds the overshoot to a single node; the caller
+    // discards the partial solution (its scope sees the same sources).
+    if (options.cancel.cancelled()) {
+      preempted = true;
+      break;
+    }
+    PPSI_FAULT_POINT("dp.node");
+    solve_node(sol, x, work);
+    sol.metrics.add_rounds(1);
+    // x consumed its children's signature groups; nothing reads them (or
+    // the children's states) again in a decision-only run.
+    if (options.release_interior) {
+      for (const treedecomp::NodeId kid : td.children[x])
+        sol.nodes[kid].release_interior();
+    }
+  }
+  sol.metrics.add_work(work);
+  sol.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);
+  sol.metrics.note_scratch_peak(scratch.arena.peak_bytes());
+  if (!preempted) collect_accepting(sol, td.root);
+  return sol;
+}
 
 }  // namespace detail
 

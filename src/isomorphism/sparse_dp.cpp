@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "isomorphism/dp_scratch.hpp"
-#include "support/fault.hpp"
 
 namespace ppsi::iso {
 namespace {
@@ -182,167 +181,130 @@ struct NodeGen {
   }
 };
 
+/// The sparse node kernel: generates node x's states from its children's
+/// signature sets and builds its signature index toward the parent.
+void solve_sparse_node(const treedecomp::TreeDecomposition& td,
+                       const Pattern& pattern, treedecomp::NodeId x,
+                       DpSolution& sol, std::uint64_t& work) {
+  const StateCodec& codec = sol.codec;
+  detail::DpScratch& scratch = detail::DpScratch::local();
+  SolvedNode& node = sol.nodes[x];
+  const treedecomp::NodeId parent = td.parent[x];
+  PositionMap to_parent;
+  if (parent != treedecomp::kNoNode)
+    to_parent = make_position_map(node.ctx, sol.nodes[parent].ctx);
+  // States stage through the thread's scratch and are copied once into the
+  // node's exact-sized array (as in solve_node_exact). The dedup set is
+  // swept here, before the node, so a node that threw leaves nothing
+  // behind for the next one.
+  std::vector<StateKey>& staged = scratch.exact_states;
+  auto& pairs = scratch.sig_pairs;
+  const std::size_t staged_bytes = support::ScratchArena::bytes_of(staged);
+  const std::size_t pairs_bytes = support::ScratchArena::bytes_of(pairs);
+  staged.clear();
+  pairs.clear();
+  scratch.staged_set.begin_node(scratch.arena);
+  NodeGen gen{codec, pattern, node.ctx, sol.separating,
+              parent != treedecomp::kNoNode ? &to_parent : nullptr, scratch};
+  const auto& kids = td.children[x];
+  if (kids.empty()) {
+    // Leaf: C = empty, everything else free.
+    ++work;
+    const StateView view = view_of(codec, 0);
+    gen.expand_matches(0, view, view.u_mask, 0, 0, 0, 0);
+  } else if (kids.size() == 1) {
+    const SolvedNode& child = sol.nodes[kids[0]];
+    const std::uint64_t shared = child.shared_with_parent;
+    for (const StateKey& sig : child.sig_groups.sigs()) {
+      ++work;
+      // The signature itself is the forced base (U/C/mapped fields).
+      const StateView view = view_of(codec, sig.code);
+      gen.expand_matches(sig.code, view, view.u_mask, shared,
+                         sig.sep & kSepLabelMask, shared,
+                         sig.sep & (kSepIx | kSepOx));
+    }
+  } else {
+    const SolvedNode& left = sol.nodes[kids[0]];
+    const SolvedNode& right = sol.nodes[kids[1]];
+    const std::uint64_t shared_l = left.shared_with_parent;
+    const std::uint64_t shared_r = right.shared_with_parent;
+    const std::uint64_t shared_lr = shared_l & shared_r;
+    // Join the signature sets on their shared-position restriction.
+    const auto join_key = [&](StateKey sig) {
+      // Only mapped fields can contribute; walk them via the view's
+      // mapped mask instead of scanning all k fields.
+      std::uint64_t key_code = 0;
+      const StateView view = view_of(codec, sig.code);
+      for (std::uint32_t mm = view.mapped_mask; mm != 0; mm &= mm - 1) {
+        const auto v = static_cast<std::uint32_t>(std::countr_zero(mm));
+        const std::uint64_t val = codec.get(sig.code, v);
+        if ((shared_lr >> (val - kStateMapped)) & 1ULL)
+          key_code = codec.set(key_code, v, val);
+      }
+      return support::hash_combine(
+          key_code, sig.sep & kSepLabelMask & shared_lr);
+    };
+    // Flat hash join: right signatures sorted by (join key, signature);
+    // signatures are unique and fed in ascending order, so each key
+    // group keeps the sorted-signature order a hash bucket would have
+    // been filled in (in-place std::sort — stable_sort would heap-
+    // allocate a merge buffer per join node). Grouping is by the exact
+    // 64-bit key, so the enumerated (l, r) pairs — and the work count —
+    // match the bucket map this replaces.
+    auto& join_pairs = scratch.join_pairs;
+    scratch.arena.acquire(join_pairs, right.sig_groups.size());
+    for (const StateKey& sig : right.sig_groups.sigs())
+      join_pairs.emplace_back(join_key(sig), sig);
+    std::sort(join_pairs.begin(), join_pairs.end());
+    const auto key_less = [](const auto& entry, std::uint64_t key) {
+      return entry.first < key;
+    };
+    const auto key_greater = [](std::uint64_t key, const auto& entry) {
+      return key < entry.first;
+    };
+    for (const StateKey& sig_l : left.sig_groups.sigs()) {
+      const std::uint64_t key = join_key(sig_l);
+      const auto lo = std::lower_bound(join_pairs.begin(),
+                                       join_pairs.end(), key, key_less);
+      const auto hi = std::upper_bound(lo, join_pairs.end(), key,
+                                       key_greater);
+      if (lo == hi) continue;
+      for (auto it = lo; it != hi; ++it) {
+        const StateKey sig_r = it->second;
+        ++work;
+        // Labels must agree wherever both children see the vertex.
+        const std::uint64_t both = shared_lr & kSepLabelMask;
+        if ((sig_l.sep & both) != (sig_r.sep & both)) continue;
+        std::uint64_t base = 0;
+        if (!merge_signatures(codec, shared_l, shared_r, sig_l, sig_r,
+                              &base)) {
+          continue;
+        }
+        const StateView view = view_of(codec, base);
+        gen.expand_matches(base, view, view.u_mask, shared_l | shared_r,
+                           (sig_l.sep | sig_r.sep) & kSepLabelMask,
+                           shared_l | shared_r,
+                           (sig_l.sep | sig_r.sep) & (kSepIx | kSepOx));
+      }
+    }
+  }
+  scratch.arena.settle(staged_bytes, support::ScratchArena::bytes_of(staged));
+  scratch.arena.settle(pairs_bytes, support::ScratchArena::bytes_of(pairs));
+  node.states.assign(staged.begin(), staged.end());
+  work += node.states.size();
+  if (parent != treedecomp::kNoNode) node.sig_groups.build(pairs);
+}
+
 }  // namespace
 
 DpSolution solve_sparse(const Graph& g,
                         const treedecomp::TreeDecomposition& td,
                         const Pattern& pattern, const DpOptions& options) {
-  const bool separating = options.spec.enabled;
-  DpSolution sol;
-  sol.separating = separating;
-  std::size_t max_bag = 1;
-  for (const auto& bag : td.bags) max_bag = std::max(max_bag, bag.size());
-  sol.codec =
-      StateCodec::make(pattern.size(), static_cast<std::uint32_t>(max_bag));
-  const StateCodec& codec = sol.codec;
-  const ParityPin pin = parity_pin(g, options.spec, pattern);
-  sol.nodes.resize(td.num_nodes());
-  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
-    sol.nodes[x].ctx = make_bag_context(g, td.bags[x], options.spec, pin);
-  std::uint64_t work = 0;
-  detail::DpScratch& scratch = detail::DpScratch::local();
-  const std::uint64_t allocs_before = scratch.arena.alloc_events();
-
-  bool preempted = false;
-  for (const treedecomp::NodeId x : bottom_up_order(td)) {
-    // Deadline/token preemption point (see solve_sequential): the partial
-    // solution is discarded by the caller.
-    if (options.cancel.cancelled()) {
-      preempted = true;
-      break;
-    }
-    PPSI_FAULT_POINT("dp.node");
-    SolvedNode& node = sol.nodes[x];
-    const treedecomp::NodeId parent = td.parent[x];
-    PositionMap to_parent;
-    if (parent != treedecomp::kNoNode)
-      to_parent = make_position_map(node.ctx, sol.nodes[parent].ctx);
-    // States stage through the thread's scratch and are copied once into
-    // the node's exact-sized array (as in solve_node_exact). The dedup
-    // set is swept here, before the node, so a node that threw leaves
-    // nothing behind for the next one.
-    std::vector<StateKey>& staged = scratch.exact_states;
-    auto& pairs = scratch.sig_pairs;
-    const std::size_t staged_bytes = support::ScratchArena::bytes_of(staged);
-    const std::size_t pairs_bytes = support::ScratchArena::bytes_of(pairs);
-    staged.clear();
-    pairs.clear();
-    scratch.staged_set.begin_node(scratch.arena);
-    NodeGen gen{codec, pattern, node.ctx, separating,
-                parent != treedecomp::kNoNode ? &to_parent : nullptr, scratch};
-    const auto& kids = td.children[x];
-    support::require(kids.size() <= 2, "solve_sparse: binary tree required");
-    if (kids.empty()) {
-      // Leaf: C = empty, everything else free.
-      ++work;
-      const StateView view = view_of(codec, 0);
-      gen.expand_matches(0, view, view.u_mask, 0, 0, 0, 0);
-    } else if (kids.size() == 1) {
-      const SolvedNode& child = sol.nodes[kids[0]];
-      const std::uint64_t shared = child.shared_with_parent;
-      for (const StateKey& sig : child.sig_groups.sigs()) {
-        ++work;
-        // The signature itself is the forced base (U/C/mapped fields).
-        const StateView view = view_of(codec, sig.code);
-        gen.expand_matches(sig.code, view, view.u_mask, shared,
-                           sig.sep & kSepLabelMask, shared,
-                           sig.sep & (kSepIx | kSepOx));
-      }
-    } else {
-      const SolvedNode& left = sol.nodes[kids[0]];
-      const SolvedNode& right = sol.nodes[kids[1]];
-      const std::uint64_t shared_l = left.shared_with_parent;
-      const std::uint64_t shared_r = right.shared_with_parent;
-      const std::uint64_t shared_lr = shared_l & shared_r;
-      // Join the signature sets on their shared-position restriction.
-      const auto join_key = [&](StateKey sig) {
-        // Only mapped fields can contribute; walk them via the view's
-        // mapped mask instead of scanning all k fields.
-        std::uint64_t key_code = 0;
-        const StateView view = view_of(codec, sig.code);
-        for (std::uint32_t mm = view.mapped_mask; mm != 0; mm &= mm - 1) {
-          const auto v = static_cast<std::uint32_t>(std::countr_zero(mm));
-          const std::uint64_t val = codec.get(sig.code, v);
-          if ((shared_lr >> (val - kStateMapped)) & 1ULL)
-            key_code = codec.set(key_code, v, val);
-        }
-        return support::hash_combine(
-            key_code, sig.sep & kSepLabelMask & shared_lr);
-      };
-      // Flat hash join: right signatures sorted by (join key, signature);
-      // signatures are unique and fed in ascending order, so each key
-      // group keeps the sorted-signature order a hash bucket would have
-      // been filled in (in-place std::sort — stable_sort would heap-
-      // allocate a merge buffer per join node). Grouping is by the exact
-      // 64-bit key, so the enumerated (l, r) pairs — and the work count —
-      // match the bucket map this replaces.
-      auto& join_pairs = scratch.join_pairs;
-      scratch.arena.acquire(join_pairs, right.sig_groups.size());
-      for (const StateKey& sig : right.sig_groups.sigs())
-        join_pairs.emplace_back(join_key(sig), sig);
-      std::sort(join_pairs.begin(), join_pairs.end());
-      const auto key_less = [](const auto& entry, std::uint64_t key) {
-        return entry.first < key;
-      };
-      const auto key_greater = [](std::uint64_t key, const auto& entry) {
-        return key < entry.first;
-      };
-      for (const StateKey& sig_l : left.sig_groups.sigs()) {
-        const std::uint64_t key = join_key(sig_l);
-        const auto lo = std::lower_bound(join_pairs.begin(),
-                                         join_pairs.end(), key, key_less);
-        const auto hi = std::upper_bound(lo, join_pairs.end(), key,
-                                         key_greater);
-        if (lo == hi) continue;
-        for (auto it = lo; it != hi; ++it) {
-          const StateKey sig_r = it->second;
-          ++work;
-          // Labels must agree wherever both children see the vertex.
-          const std::uint64_t both = shared_lr & kSepLabelMask;
-          if ((sig_l.sep & both) != (sig_r.sep & both)) continue;
-          std::uint64_t base = 0;
-          if (!merge_signatures(codec, shared_l, shared_r, sig_l, sig_r,
-                                &base)) {
-            continue;
-          }
-          const StateView view = view_of(codec, base);
-          gen.expand_matches(base, view, view.u_mask, shared_l | shared_r,
-                             (sig_l.sep | sig_r.sep) & kSepLabelMask,
-                             shared_l | shared_r,
-                             (sig_l.sep | sig_r.sep) & (kSepIx | kSepOx));
-        }
-      }
-    }
-    scratch.arena.settle(staged_bytes, support::ScratchArena::bytes_of(staged));
-    scratch.arena.settle(pairs_bytes, support::ScratchArena::bytes_of(pairs));
-    node.states.assign(staged.begin(), staged.end());
-    work += node.states.size();
-    if (parent != treedecomp::kNoNode) {
-      node.shared_with_parent =
-          shared_position_mask(sol.nodes[parent].ctx, node.ctx);
-      node.sig_groups.build(pairs);
-    }
-    sol.metrics.add_rounds(1);
-    if (options.release_interior) {
-      for (const treedecomp::NodeId kid : kids)
-        sol.nodes[kid].release_interior();
-    }
-  }
-  sol.metrics.add_work(work);
-  sol.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);
-  sol.metrics.note_scratch_peak(scratch.arena.peak_bytes());
-  if (preempted) return sol;  // partial; accepted stays false
-
-  const SolvedNode& root = sol.nodes[td.root];
-  for (std::uint32_t i = 0; i < root.states.size(); ++i) {
-    const StateView view = view_of(codec, root.states[i].code);
-    const bool ok_sep =
-        !separating || ((root.states[i].sep & kSepIx) != 0 &&
-                        (root.states[i].sep & kSepOx) != 0);
-    if (view.u_mask == 0 && ok_sep) sol.accepting.push_back(i);
-  }
-  sol.accepted = !sol.accepting.empty();
-  return sol;
+  return detail::solve_bottom_up(
+      g, td, pattern, options,
+      [&](DpSolution& sol, treedecomp::NodeId x, std::uint64_t& work) {
+        solve_sparse_node(td, pattern, x, sol, work);
+      });
 }
 
 }  // namespace ppsi::iso

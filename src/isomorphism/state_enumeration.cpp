@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
 namespace ppsi::iso {
 
@@ -202,15 +201,6 @@ PositionMap make_position_map(const BagContext& child_ctx,
       map.to_parent[q] = static_cast<std::int8_t>(p);
   }
   return map;
-}
-
-std::optional<StateKey> project_to_parent(StateKey child_state,
-                                          const StateCodec& codec,
-                                          const Pattern& pattern,
-                                          const BagContext& child_ctx,
-                                          const PositionMap& pos_map) {
-  return project_to_parent(child_state, view_of(codec, child_state.code),
-                           codec, pattern, child_ctx, pos_map);
 }
 
 std::optional<StateKey> project_to_parent(StateKey child_state,

@@ -385,16 +385,10 @@ struct PositionMap {
 PositionMap make_position_map(const BagContext& child_ctx,
                               const BagContext& parent_ctx);
 
-/// project_to_parent with a precomputed PositionMap (bit-identical to the
-/// BagContext overload; only mapped fields and set label bits are walked).
-std::optional<StateKey> project_to_parent(StateKey child_state,
-                                          const StateCodec& codec,
-                                          const Pattern& pattern,
-                                          const BagContext& child_ctx,
-                                          const PositionMap& pos_map);
-
-/// The PositionMap overload for a caller that already holds the decoded
-/// view of `child_state.code` (`child_view` must equal view_of of it).
+/// project_to_parent with a precomputed PositionMap and the decoded view
+/// of `child_state.code` (`child_view` must equal view_of of it).
+/// Bit-identical to the BagContext overload; only mapped fields and set
+/// label bits are walked.
 std::optional<StateKey> project_to_parent(StateKey child_state,
                                           const StateView& child_view,
                                           const StateCodec& codec,

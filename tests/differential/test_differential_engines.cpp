@@ -85,8 +85,8 @@ TEST_P(EngineEquivalence, ParallelAndSparseMatchSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalence, ::testing::Range(0, 120));
 
-// The shortcut and tree-contraction options are pure optimizations: every
-// configuration of the parallel engine must agree with the default.
+// The shortcut option is a pure optimization: both configurations of the
+// parallel engine must agree with the sequential engine.
 class ParallelOptionsEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelOptionsEquivalence, AllConfigurationsAgree) {
@@ -99,16 +99,12 @@ TEST_P(ParallelOptionsEquivalence, AllConfigurationsAgree) {
 
   const DpSolution reference = solve_sequential(g, td, pattern, {});
   for (const bool shortcuts : {false, true}) {
-    for (const bool contraction : {false, true}) {
-      ParallelOptions options;
-      options.use_shortcuts = shortcuts;
-      options.use_tree_contraction = contraction;
-      const DpSolution sol = solve_parallel(g, td, pattern, options);
-      expect_identical_solutions(
-          reference, sol, td,
-          context + " shortcuts=" + std::to_string(shortcuts) +
-              " contraction=" + std::to_string(contraction));
-    }
+    ParallelOptions options;
+    options.use_shortcuts = shortcuts;
+    const DpSolution sol = solve_parallel(g, td, pattern, options);
+    expect_identical_solutions(
+        reference, sol, td,
+        context + " shortcuts=" + std::to_string(shortcuts));
   }
 }
 

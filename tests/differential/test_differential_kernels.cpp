@@ -122,8 +122,9 @@ TEST(KernelProjection, PositionMapMatchesBinarySearchOverload) {
         for (const StateKey s : inst.states[x]) {
           const auto plain = project_to_parent(s, inst.codec, inst.pattern,
                                                inst.ctxs[x], inst.ctxs[parent]);
-          const auto mapped = project_to_parent(s, inst.codec, inst.pattern,
-                                                inst.ctxs[x], pos_map);
+          const auto mapped =
+              project_to_parent(s, view_of(inst.codec, s.code), inst.codec,
+                                inst.pattern, inst.ctxs[x], pos_map);
           ASSERT_EQ(plain.has_value(), mapped.has_value())
               << "seed " << seed << " sep " << separating << " node " << x;
           if (plain.has_value()) {

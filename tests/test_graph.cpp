@@ -10,7 +10,6 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ops.hpp"
-#include "graph/union_find.hpp"
 #include "support/rng.hpp"
 
 namespace ppsi {
@@ -132,16 +131,6 @@ TEST_P(ComponentsCase, ParallelMatchesSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ComponentsCase, ::testing::Range(0, 12));
-
-TEST(UnionFind, BasicMergeSemantics) {
-  UnionFind uf(10);
-  EXPECT_TRUE(uf.unite(0, 1));
-  EXPECT_TRUE(uf.unite(1, 2));
-  EXPECT_FALSE(uf.unite(0, 2));
-  EXPECT_TRUE(uf.connected(0, 2));
-  EXPECT_FALSE(uf.connected(0, 3));
-  EXPECT_EQ(uf.component_size(2), 3u);
-}
 
 TEST(Generators, SizesAndDegrees) {
   EXPECT_EQ(gen::path_graph(6).num_edges(), 5u);

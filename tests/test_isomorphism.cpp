@@ -360,6 +360,46 @@ TEST(Shortcuts, DoNotChangeValidStates) {
   EXPECT_LT(s1.bfs_rounds, s2.bfs_rounds);
 }
 
+// ---- Shared setup ----
+
+// Every engine starts from detail::prepare_solution, which writes each
+// non-root node's shared-position mask before any node is solved. So the
+// mask holds for every node afterwards, also for the parallel engine's
+// interior path nodes when solved nodes are released.
+TEST(DpSetup, EveryNonRootNodeCarriesItsSharedPositionMask) {
+  const Engine parallel = [](const Graph& g,
+                             const treedecomp::TreeDecomposition& td,
+                             const Pattern& pattern,
+                             const DpOptions& options) {
+    ParallelOptions par;
+    static_cast<DpOptions&>(par) = options;
+    return solve_parallel(g, td, pattern, par);
+  };
+  const std::pair<Graph, Pattern> cases[] = {
+      {gen::path_graph(40), Pattern::from_graph(gen::path_graph(3))},
+      {gen::grid_graph(4, 5), Pattern::from_graph(gen::cycle_graph(4))},
+  };
+  for (const auto& [g, pattern] : cases) {
+    const auto td = decomposition_of(g);
+    for (const Engine engine : {&solve_sequential, &solve_sparse, parallel}) {
+      for (const bool release : {false, true}) {
+        DpOptions options;
+        options.release_interior = release;
+        const DpSolution sol = engine(g, td, pattern, options);
+        for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x) {
+          const treedecomp::NodeId parent = td.parent[x];
+          if (parent == treedecomp::kNoNode) continue;
+          EXPECT_EQ(sol.nodes[x].shared_with_parent,
+                    shared_position_mask(sol.nodes[parent].ctx,
+                                         sol.nodes[x].ctx))
+              << "n " << g.num_vertices() << " release " << release
+              << " node " << x;
+        }
+      }
+    }
+  }
+}
+
 TEST(Recovery, WitnessesAreRealOccurrences) {
   const Graph g = gen::apollonian(30, 2).graph();
   const Pattern pattern = Pattern::from_graph(gen::cycle_graph(4));

@@ -37,40 +37,36 @@ double per_second(double items, const ppsi::bench::Trial& trial) {
 
 // ---- Bit-parallel DP kernel cases ----
 
-/// Shared fixture of the combo-kernel pair: one decomposed target, its bag
-/// contexts/child links, and the locally valid states per node (capped
-/// deterministically in discovery order). Both cases enumerate the exact
-/// same support combos, so their work counts are identical and the wall
-/// ratio is the kernel speedup.
+/// Shared fixture of the combo-kernel pair: one decomposed target, its
+/// plan (bag contexts and child links), and the locally valid states per
+/// node (capped deterministically in discovery order). Both cases
+/// enumerate the exact same support combos, so their work counts are
+/// identical and the wall ratio is the kernel speedup.
 struct ComboFixture {
   iso::StateCodec codec;
+  std::unique_ptr<const iso::DpPlan> plan;
   struct Node {
-    iso::BagContext ctx;
+    iso::BagView ctx;
     iso::detail::ChildLink left, right;
     std::vector<iso::StateKey> states;
   };
   std::vector<Node> nodes;
 
   ComboFixture(const Graph& g, const iso::Pattern& pattern) {
-    const auto td = treedecomp::binarize(treedecomp::greedy_decomposition(g));
-    std::size_t max_bag = 1;
-    for (const auto& bag : td.bags) max_bag = std::max(max_bag, bag.size());
-    codec = iso::StateCodec::make(pattern.size(),
-                                  static_cast<std::uint32_t>(max_bag));
-    std::vector<iso::BagContext> ctxs(td.num_nodes());
-    for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
-      ctxs[x] = iso::make_bag_context(g, td.bags[x],
-                                      iso::SeparatingSpec::disabled());
-    nodes.resize(td.num_nodes());
+    plan = std::make_unique<const iso::DpPlan>(
+        g, treedecomp::binarize(treedecomp::greedy_decomposition(g)),
+        iso::SeparatingSpec::disabled());
+    codec = iso::StateCodec::make(pattern.size(), plan->max_bag());
+    nodes.resize(plan->num_nodes());
     constexpr std::size_t kStatesPerNode = 4000;
-    for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x) {
+    for (treedecomp::NodeId x = 0; x < plan->num_nodes(); ++x) {
       Node& node = nodes[x];
-      node.ctx = ctxs[x];
-      const auto& kids = td.children[x];
+      node.ctx = plan->context(x);
+      const auto kids = plan->children(x);
       if (!kids.empty())
-        node.left = {true, iso::shared_position_mask(ctxs[x], ctxs[kids[0]])};
+        node.left = {true, plan->shared_with_parent(kids[0])};
       if (kids.size() == 2)
-        node.right = {true, iso::shared_position_mask(ctxs[x], ctxs[kids[1]])};
+        node.right = {true, plan->shared_with_parent(kids[1])};
       iso::enumerate_local_states(
           pattern, node.ctx, codec, /*separating=*/false,
           [&](iso::StateKey key) {
@@ -127,7 +123,7 @@ void register_kernel_benchmarks(Registry& reg, const Corpus& corpus) {
       std::uint64_t combos = 0;
       trial.measure([&] {
         combos = fixture->sweep(
-            [](const iso::StateCodec& codec, const iso::BagContext& ctx,
+            [](const iso::StateCodec& codec, const iso::BagView& ctx,
                iso::StateKey state, const iso::detail::ChildLink& left,
                const iso::detail::ChildLink& right, auto&& visit) {
               iso::detail::for_each_support_combo_ref(
@@ -144,7 +140,7 @@ void register_kernel_benchmarks(Registry& reg, const Corpus& corpus) {
       std::uint64_t combos = 0;
       trial.measure([&] {
         combos = fixture->sweep(
-            [](const iso::StateCodec& codec, const iso::BagContext& ctx,
+            [](const iso::StateCodec& codec, const iso::BagView& ctx,
                iso::StateKey state, const iso::detail::ChildLink& left,
                const iso::detail::ChildLink& right, auto&& visit) {
               iso::detail::for_each_support_combo(

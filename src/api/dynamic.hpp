@@ -11,12 +11,13 @@
 // TargetVersion handles and the pins of in-flight queries, and a version
 // is reclaimed when its last reference drains.
 //
-// Cached covers and per-slice tree decompositions are keyed by version,
-// and a commit invalidates only what it touches: when a new version's
-// cover is built, every slice that is structurally identical to a slice of
-// the previous version *shares* that version's tree-decomposition slot
-// (decompositions are deterministic functions of the slice, so sharing is
-// exact, and whichever version solves the slice first builds it for both);
+// Cached covers and per-slice DP plans are keyed by version, and a commit
+// invalidates only what it touches: when a new version's cover is built,
+// every slice that is structurally identical to a slice of the previous
+// version *shares* that version's plan slot (a slice's decomposition and
+// plan are deterministic functions of the slice and its separating spec,
+// so sharing is exact, and whichever version solves the slice first builds
+// it for both);
 // only the slices the edit actually changed get fresh slots. Every slot is
 // filled lazily, by the first query that solves its slice.
 // CacheStats::slices_reused / slices_rebuilt expose the split; per-version

@@ -115,52 +115,57 @@ treedecomp::TreeDecomposition decompose_slice(const Slice& slice) {
   return treedecomp::binarize(treedecomp::greedy_decomposition(slice.graph));
 }
 
-/// One slice's tree decomposition, built the first time a query needs it
-/// (its slice task, witness recovery, or the collect-mode replay). Publish
-/// is lock-free and first-writer-wins: decompose_slice is deterministic, so
-/// a racing duplicate build is identical and simply dropped, and no task
-/// ever blocks on another's build (see the locking discipline in
+/// One slice's DP plan (isomorphism/dp_plan.hpp), built the first time a
+/// query needs it (its slice task, witness recovery, or the collect-mode
+/// replay): the slice is decomposed, the decomposition turned into the
+/// plan, and the decomposition dropped. Publish is lock-free and
+/// first-writer-wins: decompose_slice is deterministic, so a racing
+/// duplicate build is identical and simply dropped, and no task ever
+/// blocks on another's build (see the locking discipline in
 /// support/scheduler.hpp). A build that throws leaves the slot empty for
 /// the next query to fill.
-struct TdSlot {
-  std::atomic<const treedecomp::TreeDecomposition*> td{nullptr};
+struct PlanSlot {
+  using Plan = std::shared_ptr<const iso::DpPlan>;
+  std::atomic<const Plan*> plan{nullptr};
 
-  TdSlot() = default;
-  TdSlot(const TdSlot&) = delete;
-  TdSlot& operator=(const TdSlot&) = delete;
-  ~TdSlot() { delete td.load(std::memory_order_relaxed); }
+  PlanSlot() = default;
+  PlanSlot(const PlanSlot&) = delete;
+  PlanSlot& operator=(const PlanSlot&) = delete;
+  ~PlanSlot() { delete plan.load(std::memory_order_relaxed); }
 };
 
-/// Per-slice decomposition counters of one Solver (CacheStats).
+/// Per-slice plan counters of one Solver (CacheStats).
 struct SliceCounters {
   std::atomic<std::uint64_t> rebuilt{0};
   std::atomic<std::uint64_t> reused{0};
 };
 
-/// The decompositions of one cover entry: a slot per slice.
+/// The plans of one cover entry: a slot per slice.
 /// Structurally identical slices of consecutive target versions hold the
 /// *same* slot (api/dynamic.hpp), so whichever version needs the slice
 /// first builds it for both. The slot vector is fixed at creation; only
 /// the slots' contents and the accounted flags change afterwards.
-struct TdList {
-  std::vector<std::shared_ptr<TdSlot>> slots;
+struct PlanList {
+  std::vector<std::shared_ptr<PlanSlot>> slots;
   std::vector<std::uint8_t> shared;  ///< slot came from the donor version
   /// Set when a replay first accounts the slice (see note_accounted).
   std::unique_ptr<std::atomic<std::uint8_t>[]> accounted;
   SliceCounters* counters = nullptr;  ///< the owning Solver's
 
-  /// Slice i's decomposition, building it on first use. A warm read is
-  /// one acquire load.
-  const treedecomp::TreeDecomposition& get(std::size_t i,
-                                           const Slice& slice) const {
-    std::atomic<const treedecomp::TreeDecomposition*>& td = slots[i]->td;
-    if (const auto* built = td.load(std::memory_order_acquire)) return *built;
-    auto fresh = std::make_unique<const treedecomp::TreeDecomposition>(
-        decompose_slice(slice));
-    const treedecomp::TreeDecomposition* winner = nullptr;
-    if (td.compare_exchange_strong(winner, fresh.get(),
-                                   std::memory_order_acq_rel,
-                                   std::memory_order_acquire))
+  /// Slice i's plan, building it on first use. A warm read is one
+  /// acquire load.
+  const PlanSlot::Plan& get(std::size_t i, const Slice& slice) const {
+    std::atomic<const PlanSlot::Plan*>& plan = slots[i]->plan;
+    if (const auto* built = plan.load(std::memory_order_acquire))
+      return *built;
+    auto fresh = std::make_unique<const PlanSlot::Plan>(
+        std::make_shared<const iso::DpPlan>(slice.graph,
+                                            decompose_slice(slice),
+                                            slice.spec));
+    const PlanSlot::Plan* winner = nullptr;
+    if (plan.compare_exchange_strong(winner, fresh.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire))
       return *fresh.release();
     return *winner;  // a concurrent build published an identical one first
   }
@@ -176,24 +181,22 @@ struct TdList {
   }
 };
 
-iso::DpSolution solve_slice(const Slice& slice,
-                            const treedecomp::TreeDecomposition& td,
+iso::DpSolution solve_slice(const PlanSlot::Plan& plan,
                             const Pattern& pattern,
                             const QueryOptions& options,
                             bool release_interior,
                             const support::CancelScope& cancel) {
   PPSI_FAULT_POINT("solver.slice");
   iso::ParallelOptions dp;
-  dp.spec = slice.spec;
   dp.release_interior = release_interior;
   // Polled per node (sequential, sparse) or per path task (parallel), so
   // an obsolete slice stops mid-solve.
   dp.cancel = cancel;
   if (options.engine == cover::EngineKind::kParallel)
-    return iso::solve_parallel(slice.graph, td, pattern, dp);
+    return iso::solve_parallel(plan, pattern, dp);
   return options.engine == cover::EngineKind::kSequential
-             ? iso::solve_sequential(slice.graph, td, pattern, dp)
-             : iso::solve_sparse(slice.graph, td, pattern, dp);
+             ? iso::solve_sequential(plan, pattern, dp)
+             : iso::solve_sparse(plan, pattern, dp);
 }
 
 /// One slice's task result. `solved` means the task ran to completion;
@@ -220,7 +223,7 @@ Status interruption_cause(const support::CancelToken* token,
   return {};
 }
 
-/// Solves every slice of one cover against its memoized decompositions and
+/// Solves every slice of one cover against its memoized plans and
 /// accounts the run into `run`: work and allocations add, scratch peaks
 /// max-merge, and the run's rounds are the maximum over its slices (they
 /// are independent, i.e. parallel, in the PRAM reading). Returns whether
@@ -265,7 +268,7 @@ Status interruption_cause(const support::CancelToken* token,
 /// outcomes, the watermark, and the replay cursor all persist across
 /// rounds, so the replayed sequence — and with it every output and every
 /// accounted counter — is bit-identical to an unparked run.
-bool solve_all_slices(const Cover& cover, const TdList& tds,
+bool solve_all_slices(const Cover& cover, const PlanList& plans,
                       const Pattern& pattern, const QueryOptions& options,
                       const Budget& budget, DecisionResult& run,
                       std::set<Assignment>* collect, std::size_t limit,
@@ -301,7 +304,7 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
   // max-merge, mirroring the work/rounds split.
   support::Metrics slices;
   const auto account = [&](std::size_t i, const iso::DpSolution& sol) {
-    tds.note_accounted(i);
+    plans.note_accounted(i);
     slices.absorb_parallel(sol.metrics);
     ++run.slices_solved;
   };
@@ -359,8 +362,7 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
       return;
     }
     replay.found = true;
-    for (Assignment a :
-         iso::recover_assignments(sol, tds.get(i, slice), limit)) {
+    for (Assignment a : iso::recover_assignments(sol, limit)) {
       for (Vertex& image : a) image = slice.origin_of[image];
       collect->insert(std::move(a));
     }
@@ -405,19 +407,25 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
           // A requested park skips the slice *before* any work: the slice
           // is not cancelled, just deferred to the post-resume round.
           if (park != nullptr && park->park_requested()) return;
-          // Decomposed on demand: a cold cover builds only the slices
-          // its queries actually solve.
-          const Slice& slice = cover.slices[i];
+          // Planned on demand: a cold cover builds only the slices its
+          // queries actually solve.
           SliceOutcome& out = outcomes[i];
-          out.sol = solve_slice(slice, tds.get(i, slice), pattern, options,
-                                release_interior, scope);
+          out.sol = solve_slice(plans.get(i, cover.slices[i]), pattern,
+                                options, release_interior, scope);
           if (scope.cancelled()) {
             out.sol = {};  // partial (paths/nodes skipped): free, never read
             return;
           }
           out.solved = true;
-          if (decision_mode && out.sol.accepted)
+          if (!out.sol.accepted) {
+            // The replay reads only the metrics and the verdict of a
+            // rejecting slice: free its nodes now, not at the replay.
+            iso::DpSolution verdict;
+            verdict.metrics = out.sol.metrics;
+            out.sol = std::move(verdict);
+          } else if (decision_mode) {
             watermark.accept(static_cast<std::uint32_t>(i));
+          }
         });
         task_of_slice.push_back(solve_task);
       }
@@ -479,7 +487,7 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
       continue;
     }
     if (!release_interior && !run.witness.has_value()) {
-      auto assignments = iso::recover_assignments(sol, tds.get(i, slice), 1);
+      auto assignments = iso::recover_assignments(sol, 1);
       if (!assignments.empty()) {
         Assignment witness = assignments.front();
         for (Vertex& image : witness) image = slice.origin_of[image];
@@ -519,9 +527,9 @@ struct CoverKey {
   }
 };
 
-/// One memoized cover plus its slice decomposition slots. The cover and
+/// One memoized cover plus its slice plan slots. The cover and
 /// the slot vector are built together under `mutex` and never change
-/// afterwards; the slots fill in lock-free as queries decompose their
+/// afterwards; the slots fill in lock-free as queries plan their
 /// slices. That is what lets a newer version's build read a donor entry's
 /// slices and share its slots after only a flag check under the donor's
 /// mutex.
@@ -529,7 +537,7 @@ struct CoverEntry {
   std::mutex mutex;
   bool cover_ready = false;
   Cover cover;
-  TdList tds;
+  PlanList plans;
   /// LRU tick, guarded by the owning Solver's cache_mutex (not `mutex`).
   std::uint64_t last_used = 0;
 };
@@ -539,7 +547,7 @@ struct CoverEntry {
 struct CoverAccess {
   std::shared_ptr<CoverEntry> entry;
   const Cover* cover = nullptr;
-  const TdList* tds = nullptr;
+  const PlanList* plans = nullptr;
   bool built_cover = false;  ///< this call built it (owns its metrics)
 };
 
@@ -866,11 +874,10 @@ struct Solver::Impl {
         // point) unwinds the lock_guards with cover_ready still false and
         // no miss counted — the entry stays an empty shell a later query
         // (or a pool retry) builds, cover and slots, from scratch.
-        // Decompositions are not built here at all: a throw from
-        // decompose_slice (the "solver.decompose" point) happens inside a
-        // slice task, reaches the query's containment through
-        // Scheduler::run, and leaves that slot empty, so a retry
-        // decomposes it afresh.
+        // Plans are not built here at all: a throw from decompose_slice
+        // (the "solver.decompose" point) happens inside a slice task,
+        // reaches the query's containment through Scheduler::run, and
+        // leaves that slot empty, so a retry plans it afresh.
         PPSI_FAULT_POINT("solver.cover_build");
         // The cover skeleton (clustering, BFS levels, slice graphs) is
         // always rebuilt from the pinned version's graph — it is cheap
@@ -885,27 +892,27 @@ struct Solver::Impl {
                                         key.k);
         // Delta invalidation: match this cover's slices against the donor
         // version's; structurally identical slices share the donor's slot
-        // (decompose_slice is deterministic, so whichever version decomposes
-        // the slice first builds it for both), the rest get fresh slots.
-        // Nothing is decomposed here: slice tasks fill the slots on demand.
+        // (a slice's plan is deterministic, so whichever version plans the
+        // slice first builds it for both), the rest get fresh slots.
+        // Nothing is planned here: slice tasks fill the slots on demand.
         // Locking order entry -> donor is acyclic: a thread only ever waits
         // on strictly older versions.
         const Cover* donor_cover = nullptr;
-        std::vector<std::shared_ptr<TdSlot>> donor_slots;
+        std::vector<std::shared_ptr<PlanSlot>> donor_slots;
         if (donor && donor != access.entry) {
           const std::lock_guard<std::mutex> donor_lock(donor->mutex);
           if (donor->cover_ready) {
             donor_cover = &donor->cover;  // immutable once ready
-            donor_slots = donor->tds.slots;
+            donor_slots = donor->plans.slots;
           }
         }
         const std::size_t num_slices = entry.cover.slices.size();
-        TdList tds;
-        tds.slots.resize(num_slices);
-        tds.shared.assign(num_slices, 0);
-        tds.accounted =
+        PlanList plans;
+        plans.slots.resize(num_slices);
+        plans.shared.assign(num_slices, 0);
+        plans.accounted =
             std::make_unique<std::atomic<std::uint8_t>[]>(num_slices);
-        tds.counters = &slice_counters;
+        plans.counters = &slice_counters;
         std::unordered_multimap<std::uint64_t, std::size_t> by_signature;
         if (donor_cover != nullptr) {
           for (std::size_t i = 0; i < donor_cover->slices.size(); ++i)
@@ -918,16 +925,16 @@ struct Solver::Impl {
                 by_signature.equal_range(slice_signature(slice));
             for (auto match = lo; match != hi; ++match) {
               if (slice_equal(slice, donor_cover->slices[match->second])) {
-                tds.slots[i] = donor_slots[match->second];
-                tds.shared[i] = 1;
+                plans.slots[i] = donor_slots[match->second];
+                plans.shared[i] = 1;
                 donated = true;
                 break;
               }
             }
           }
-          if (!tds.slots[i]) tds.slots[i] = std::make_shared<TdSlot>();
+          if (!plans.slots[i]) plans.slots[i] = std::make_shared<PlanSlot>();
         }
-        entry.tds = std::move(tds);
+        entry.plans = std::move(plans);
         entry.cover_ready = true;  // published only with its slots
         access.built_cover = true;
         cover_misses.fetch_add(1, std::memory_order_relaxed);
@@ -935,7 +942,7 @@ struct Solver::Impl {
         cover_hits.fetch_add(1, std::memory_order_relaxed);
       }
       access.cover = &entry.cover;
-      access.tds = &entry.tds;
+      access.plans = &entry.plans;
     }
     if (donor || donated) purge_stale(key);
     return access;
@@ -1035,7 +1042,7 @@ struct Solver::Impl {
         DecisionResult run;
         Status interrupt;
         const bool found =
-            solve_all_slices(*access.cover, *access.tds, pattern, options,
+            solve_all_slices(*access.cover, *access.plans, pattern, options,
                              budget, run, nullptr, 1, &interrupt);
         if (access.built_cover) total.metrics.absorb(access.cover->metrics);
         total.metrics.absorb(run.metrics);
@@ -1087,7 +1094,7 @@ struct Solver::Impl {
         // budget see it, not just the cover builds.
         DecisionResult iteration;
         Status interrupt;
-        solve_all_slices(*access.cover, *access.tds, pattern, options,
+        solve_all_slices(*access.cover, *access.plans, pattern, options,
                          budget, iteration, &all, options.list_limit,
                          &interrupt);
         result.metrics.absorb(iteration.metrics);

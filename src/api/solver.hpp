@@ -117,11 +117,12 @@ inline constexpr std::size_t kDefaultCacheCapacity = 256;
 Status validate(const QueryOptions& options);
 
 /// Cache observability (cumulative since construction / clear_cache()).
-/// A "cover" entry is one {cover + per-slice tree-decomposition slots}
-/// unit, built together on a cover miss. The slots fill on demand, one
-/// slice at a time, as queries solve the slices; every slice is decomposed
-/// by binarized min-degree elimination (any width-O(kd) decomposition
-/// serves the paper's bounds).
+/// A "cover" entry is one {cover + per-slice DP-plan slots} unit, built
+/// together on a cover miss. The slots fill on demand, one slice at a
+/// time, as queries solve the slices: every slice is decomposed by
+/// binarized min-degree elimination (any width-O(kd) decomposition serves
+/// the paper's bounds), and the slot keeps the decomposition's DP plan
+/// (isomorphism/dp_plan.hpp), not the decomposition itself.
 struct CacheStats {
   std::uint64_t cover_hits = 0;
   std::uint64_t cover_misses = 0;
@@ -134,15 +135,15 @@ struct CacheStats {
   std::uint64_t versions_committed = 0;  ///< successful apply() commits
   std::uint64_t versions_reclaimed = 0;  ///< versions whose last pin drained
   std::uint64_t live_versions = 0;       ///< currently reachable snapshots
-  /// Cover slices whose tree decomposition is this version's own (a cold
-  /// target counts here too — compare deltas across an edit). Both slice
-  /// counters count a slice of a cover entry once, when a query's
-  /// slice-order replay first accounts it. Decompositions that speculative
-  /// slice tasks build but no replay reads do not count, so the counters
-  /// are identical for every thread count.
+  /// Cover slices whose plan is this version's own (a cold target counts
+  /// here too — compare deltas across an edit). Both slice counters count
+  /// a slice of a cover entry once, when a query's slice-order replay
+  /// first accounts it. Plans that speculative slice tasks build but no
+  /// replay reads do not count, so the counters are identical for every
+  /// thread count.
   std::uint64_t slices_rebuilt = 0;
-  /// Cover slices whose decomposition slot is shared with the previous
-  /// version because the edit left the slice untouched.
+  /// Cover slices whose plan slot is shared with the previous version
+  /// because the edit left the slice untouched.
   std::uint64_t slices_reused = 0;
   /// Cover entries of dead (fully drained) versions dropped by the sweep.
   std::uint64_t stale_covers_purged = 0;
@@ -171,9 +172,9 @@ class Solver {
   // producing a new immutable TargetVersion; on any invalid edit (or an
   // edit that would break a planar embedding) nothing changes. Queries
   // already in flight keep the version they pinned; queries starting after
-  // the commit see the new one. Covers and per-slice tree decompositions
-  // are maintained incrementally: only the slices an edit touches get
-  // fresh decomposition slots, the rest share the previous version's (see
+  // the commit see the new one. Covers and per-slice DP plans are
+  // maintained incrementally: only the slices an edit touches get fresh
+  // plan slots, the rest share the previous version's (see
   // CacheStats::slices_rebuilt / slices_reused).
 
   /// Refcounted handle to the latest committed snapshot.

@@ -14,8 +14,9 @@
 // support::Metrics (allocs / scratch_peak_bytes).
 //
 // Output storage (SolvedNode's state array and CSR signature groups) is
-// not scratch: it persists in the DpSolution and is sized exactly and
-// written once per node. solve_sparse's per-node state-dedup set is
+// not scratch: it persists in the DpSolution's NodeStore
+// (isomorphism/node_store.hpp) and is sized exactly and written once per
+// node. solve_sparse's per-node state-dedup set is
 // scratch (StagedStateSet below). A thread-lifetime table must not be
 // reset by sweeping all of its buckets, which are sized by the largest
 // node the thread has seen, while most nodes hold a few dozen states.
@@ -63,20 +64,21 @@ class StagedStateSet {
     if (slots_.size() < prefix_) extend(prefix_, arena);
   }
 
-  /// Appends `key` to `staged` unless already present; returns true when
-  /// appended. `staged` must hold exactly the states inserted since
-  /// begin_node().
-  bool insert(std::vector<StateKey>& staged, StateKey key,
-              support::ScratchArena& arena) {
+  /// Appends state {code, sep} to `staged` unless already present;
+  /// returns true when appended. `staged` must hold exactly the states
+  /// inserted since begin_node().
+  bool insert(std::vector<StateKey>& staged, std::uint64_t code,
+              std::uint64_t sep, support::ScratchArena& arena) {
     if ((staged.size() + 1) * 8 > prefix_ * 7) grow(staged, arena);
     const std::size_t mask = prefix_ - 1;
-    std::size_t i = StateKeyHash{}(key) & mask;
+    std::size_t i = support::hash_combine(code, sep) & mask;
     while (slots_[i] != kEmpty) {
-      if (staged[slots_[i]] == key) return false;
+      const StateKey& held = staged[slots_[i]];
+      if (held.code == code && held.sep == sep) return false;
       i = (i + 1) & mask;
     }
     slots_[i] = static_cast<std::uint32_t>(staged.size());
-    staged.push_back(key);
+    staged.push_back(StateKey{code, sep});
     return true;
   }
 

@@ -25,20 +25,20 @@ constexpr std::uint32_t kNoTarget = 0xffffffffu;
 // adjacency — which keeps the BFS traversal (and its instrumented work
 // count) bit-identical while replacing one heap vector per DAG vertex with
 // three reusable flat arrays.
-PathStats solve_path(const treedecomp::TreeDecomposition& td,
-                     const Pattern& pattern,
+PathStats solve_path(const Pattern& pattern,
                      std::span<const treedecomp::NodeId> nodes,
                      const ParallelOptions& options, DpSolution& solution) {
   PathStats stats;
+  const DpPlan& plan = *solution.plan;
   stats.path_length = nodes.size();
   const StateCodec& codec = solution.codec;
-  const bool sep = solution.separating;
+  const bool sep = plan.separating();
   DpScratch& scratch = DpScratch::local();
   const std::uint64_t allocs_before = scratch.arena.alloc_events();
 
   // ---- X_1: exact solve against its (already solved) children. ----
   std::uint64_t work = 0;
-  detail::solve_node_exact(td, pattern, nodes.front(), solution, &work);
+  detail::solve_node_exact(pattern, nodes.front(), solution, &work);
   stats.enumerated_states += solution.nodes[nodes.front()].states.size();
 
   const std::size_t p = nodes.size();
@@ -62,7 +62,7 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
         detail::StateIndexMap& cindex = scratch.index_slot(j);
         const std::size_t cand_bytes = support::ScratchArena::bytes_of(cand);
         const std::size_t index_bytes = cindex.capacity_bytes();
-        enumerate_local_states(pattern, solution.nodes[pn.id].ctx, codec, sep,
+        enumerate_local_states(pattern, solution.ctx(pn.id), codec, sep,
                                [&](StateKey key) {
                                  cindex.emplace(
                                      key, static_cast<std::uint32_t>(
@@ -76,7 +76,7 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
         pn.num_states = static_cast<std::uint32_t>(cand.size());
         stats.enumerated_states += pn.num_states;
         // Wire children: the path child plus at most one side child.
-        const auto& kids = td.children[pn.id];
+        const std::span<const NodeId> kids = plan.children(pn.id);
         support::require(!kids.empty(),
                          "solve_path: path node must have the path child");
         for (NodeId kid : kids) {
@@ -103,17 +103,17 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
     for (std::size_t j = 0; j + 1 < p; ++j) {
       const PathNodeMeta& lo = path[j];
       const PathNodeMeta& hi = path[j + 1];
-      const BagContext& lo_ctx = solution.nodes[lo.id].ctx;
-      const BagContext& hi_ctx = solution.nodes[hi.id].ctx;
+      const BagView lo_ctx = solution.ctx(lo.id);
+      const BagView hi_ctx = solution.ctx(hi.id);
       const detail::StateIndexMap& hi_index = scratch.path_index[j + 1];
       // Projections of lo's states toward hi: pi vertices.
       detail::StateIndexMap& pi_map = scratch.pi_map;
       const std::size_t pi_bytes = pi_map.capacity_bytes();
       pi_map.clear();
       pi_map.reserve(lo.num_states);
-      // One merge per node pair; projections then re-address through the
-      // table instead of a binary search per mapped vertex.
-      const PositionMap lo_to_hi = make_position_map(lo_ctx, hi_ctx);
+      // hi is lo's tree parent, so the plan's table re-addresses each
+      // projection instead of a binary search per mapped vertex.
+      const std::int8_t* lo_to_hi = plan.to_parent(lo.id);
       for (std::uint32_t i = 0; i < lo.num_states; ++i) {
         ++work;
         const StateKey state = lo.states[i];
@@ -144,10 +144,9 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
       const SolvedNode* side_solved =
           hi.has_side ? &solution.nodes[hi.side] : nullptr;
       const detail::ChildLink side_link{
-          hi.has_side,
-          hi.has_side ? side_solved->shared_with_parent : 0};
-      const detail::ChildLink path_link{
-          true, solution.nodes[lo.id].shared_with_parent};
+          hi.has_side, hi.has_side ? plan.shared_with_parent(hi.side) : 0};
+      const detail::ChildLink path_link{true,
+                                        plan.shared_with_parent(lo.id)};
       for (std::uint32_t i = 0; i < hi.num_states; ++i) {
         detail::for_each_support_combo(
             codec, hi_ctx, hi.states[i], side_link, path_link, sep,
@@ -262,15 +261,15 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
     for (std::size_t j = 1; j < p; ++j) {
       const PathNodeMeta& pn = path[j];
       if (options.release_interior && j + 1 < p) continue;  // freed below
-      SolvedNode& out = solution.nodes[pn.id];
-      std::uint32_t valid = 0;
-      for (std::uint32_t i = 0; i < pn.num_states; ++i)
-        valid += reachable[pn.base + i] != 0;
-      out.states.clear();
-      out.states.reserve(valid);
+      std::vector<StateKey>& valid = scratch.exact_states;
+      const std::size_t valid_bytes = support::ScratchArena::bytes_of(valid);
+      valid.clear();
       for (std::uint32_t i = 0; i < pn.num_states; ++i) {
-        if (reachable[pn.base + i]) out.states.push_back(pn.states[i]);
+        if (reachable[pn.base + i]) valid.push_back(pn.states[i]);
       }
+      scratch.arena.settle(valid_bytes, support::ScratchArena::bytes_of(valid));
+      solution.nodes[pn.id].states =
+          detail::store_states(*solution.store, valid);
     }
     stats.dag_vertices = num_vertices;
   }
@@ -281,15 +280,15 @@ PathStats solve_path(const treedecomp::TreeDecomposition& td,
   // they are about to be freed as children of the next path node.
   for (const NodeId x : nodes) {
     if (options.release_interior && x != nodes.back()) continue;
-    detail::build_sig_groups(td, pattern, x, solution);
+    detail::build_sig_groups(pattern, x, solution);
   }
   if (options.release_interior) {
     // Every child of a path node has now been consumed: side children and
     // the bottom node's children via the exact solve / DAG gating, interior
     // path nodes as the path children of their successors.
     for (const NodeId x : nodes)
-      for (const NodeId kid : td.children[x])
-        solution.nodes[kid].release_interior();
+      for (const NodeId kid : plan.children(x))
+        solution.nodes[kid].release_interior(*solution.store);
   }
   solution.metrics.add_work(work);
   solution.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);

@@ -54,10 +54,10 @@ struct ParallelOptions;  // parallel_engine.hpp
 /// children; the remaining nodes are solved by shortcut reachability.
 /// `solution` comes from detail::prepare_solution. Thread-safe for
 /// distinct paths (per-thread scratch; writes only the states and signature
-/// groups of the SolvedNodes of `nodes` and of their consumed children, and
-/// reads other nodes' ctx and shared_with_parent, which no path writes).
-PathStats solve_path(const treedecomp::TreeDecomposition& td,
-                     const Pattern& pattern,
+/// groups of the SolvedNodes of `nodes` and of their consumed children,
+/// through the solution's locked NodeStore, and reads everything else from
+/// the shared read-only plan).
+PathStats solve_path(const Pattern& pattern,
                      std::span<const treedecomp::NodeId> nodes,
                      const ParallelOptions& options, DpSolution& solution);
 

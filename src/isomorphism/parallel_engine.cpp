@@ -14,8 +14,7 @@ namespace {
 /// its own children finish — the slowest path of a layer never holds back
 /// unrelated paths of the next. Task ids equal path ids, so per-path stats
 /// land in pre-sized slots.
-void run_paths_task_graph(const treedecomp::TreeDecomposition& td,
-                          const Pattern& pattern,
+void run_paths_task_graph(const Pattern& pattern,
                           const treepath::PathDecomposition& paths,
                           const ParallelOptions& options, DpSolution& sol,
                           std::vector<PathStats>& per_path) {
@@ -25,12 +24,12 @@ void run_paths_task_graph(const treedecomp::TreeDecomposition& td,
     graph.add([&, pi] {
       if (options.cancel.cancelled()) return;  // slice query already done
       PPSI_FAULT_POINT("engine.path");
-      per_path[pi] = solve_path(td, pattern, paths.paths[pi], options, sol);
+      per_path[pi] = solve_path(pattern, paths.paths[pi], options, sol);
     });
   }
   for (std::uint32_t pi = 0; pi < num_paths; ++pi) {
     const treedecomp::NodeId top = paths.paths[pi].back();
-    const treedecomp::NodeId parent = td.parent[top];
+    const treedecomp::NodeId parent = sol.plan->parent(top);
     if (parent != treedecomp::kNoNode)
       graph.add_edge(pi, paths.path_of[parent]);
   }
@@ -39,16 +38,16 @@ void run_paths_task_graph(const treedecomp::TreeDecomposition& td,
 
 }  // namespace
 
-DpSolution solve_parallel(const Graph& g,
-                          const treedecomp::TreeDecomposition& td,
+DpSolution solve_parallel(const std::shared_ptr<const DpPlan>& plan,
                           const Pattern& pattern,
                           const ParallelOptions& options,
                           ParallelStats* stats) {
-  DpSolution sol = detail::prepare_solution(g, td, pattern, options.spec);
+  DpSolution sol =
+      detail::prepare_solution(plan, pattern, options.release_interior);
 
   // Lemma 3.2: layered path decomposition of the decomposition tree.
   treepath::Forest forest;
-  forest.parent.assign(td.parent.begin(), td.parent.end());
+  forest.parent.assign(plan->parents().begin(), plan->parents().end());
   support::Metrics contraction_metrics;
   const treepath::PathDecomposition paths = treepath::decompose_into_paths(
       forest,
@@ -62,7 +61,7 @@ DpSolution solve_parallel(const Graph& g,
   // One per-solve stats array indexed by path id (hoisted out of the old
   // per-layer loop); tasks write disjoint slots.
   std::vector<PathStats> per_path(paths.paths.size());
-  run_paths_task_graph(td, pattern, paths, options, sol, per_path);
+  run_paths_task_graph(pattern, paths, options, sol, per_path);
 
   // Canonical-order fold: identical arithmetic to the old per-layer loop,
   // independent of the order the path tasks ran in. The critical path
@@ -86,9 +85,18 @@ DpSolution solve_parallel(const Graph& g,
   }
   local_stats.contraction_rounds = contraction_metrics.rounds();
 
-  detail::collect_accepting(sol, td.root);
+  detail::collect_accepting(sol);
   if (stats != nullptr) *stats = local_stats;
   return sol;
+}
+
+DpSolution solve_parallel(const Graph& g,
+                          const treedecomp::TreeDecomposition& td,
+                          const Pattern& pattern,
+                          const ParallelOptions& options,
+                          ParallelStats* stats) {
+  return solve_parallel(std::make_shared<const DpPlan>(g, td, options.spec),
+                        pattern, options, stats);
 }
 
 }  // namespace ppsi::iso

@@ -5,8 +5,9 @@
 // The decomposition tree is split into layered paths (Lemma 3.2, computed
 // with the Appendix A tree-contraction evaluation); each path is solved
 // through the shortcut reachability of its partial-match DAG (§3.3.2–3.3.3).
-// Setup and accepting scan are the other engines' (sequential_dp.hpp), so
-// every node's ctx and shared-position mask exist before any path task.
+// Setup and accepting scan are the other engines' (sequential_dp.hpp), and
+// every path task reads bags, masks and links from the shared read-only
+// plan.
 //
 // Scheduling: by default every path is one task in a support::TaskGraph
 // whose ready-counter is its number of child paths, so a path starts the
@@ -45,7 +46,13 @@ struct ParallelStats {
   std::uint64_t contraction_rounds = 0;
 };
 
-/// Parallel counterpart of solve_sequential; `td` must be binary.
+/// Parallel counterpart of solve_sequential over a slice's plan.
+DpSolution solve_parallel(const std::shared_ptr<const DpPlan>& plan,
+                          const Pattern& pattern,
+                          const ParallelOptions& options,
+                          ParallelStats* stats = nullptr);
+/// The same over a temporary plan of (g, td, options.spec); `td` must be
+/// binary.
 DpSolution solve_parallel(const Graph& g,
                           const treedecomp::TreeDecomposition& td,
                           const Pattern& pattern,

@@ -22,18 +22,16 @@ struct NodeEnv {
   const SolvedNode* right_node = nullptr;
 };
 
-NodeEnv make_env(const treedecomp::TreeDecomposition& td,
-                 const std::vector<SolvedNode>& nodes,
-                 treedecomp::NodeId x) {
+NodeEnv make_env(const DpSolution& sol, treedecomp::NodeId x) {
   NodeEnv env;
-  const auto& kids = td.children[x];
+  const auto kids = sol.plan->children(x);
   if (!kids.empty()) {
-    env.left_node = &nodes[kids[0]];
-    env.left = {true, env.left_node->shared_with_parent};
+    env.left_node = &sol.nodes[kids[0]];
+    env.left = {true, sol.plan->shared_with_parent(kids[0])};
   }
   if (kids.size() == 2) {
-    env.right_node = &nodes[kids[1]];
-    env.right = {true, env.right_node->shared_with_parent};
+    env.right_node = &sol.nodes[kids[1]];
+    env.right = {true, sol.plan->shared_with_parent(kids[1])};
   }
   return env;
 }
@@ -42,35 +40,31 @@ NodeEnv make_env(const treedecomp::TreeDecomposition& td,
 
 namespace detail {
 
-DpSolution prepare_solution(const Graph& g,
-                            const treedecomp::TreeDecomposition& td,
-                            const Pattern& pattern,
-                            const SeparatingSpec& spec) {
-  support::require(td.is_binary(), "solve: binary decomposition required");
+DpSolution prepare_solution(const std::shared_ptr<const DpPlan>& plan,
+                            const Pattern& pattern, bool release_interior) {
   DpSolution sol;
-  sol.separating = spec.enabled;
-  std::size_t max_bag = 1;
-  for (const auto& bag : td.bags) max_bag = std::max(max_bag, bag.size());
-  sol.codec =
-      StateCodec::make(pattern.size(), static_cast<std::uint32_t>(max_bag));
-  const ParityPin pin = parity_pin(g, spec, pattern);
-  sol.nodes.resize(td.num_nodes());
-  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
-    sol.nodes[x].ctx = make_bag_context(g, td.bags[x], spec, pin);
-  // Children read their parent's coordinates, so the masks need every
-  // context first.
-  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x) {
-    if (td.parent[x] == treedecomp::kNoNode) continue;
-    sol.nodes[x].shared_with_parent =
-        shared_position_mask(sol.nodes[td.parent[x]].ctx, sol.nodes[x].ctx);
-  }
+  sol.plan = plan;
+  sol.codec = StateCodec::make(pattern.size(), plan->max_bag());
+  sol.pin = parity_pin(*plan, pattern);
+  sol.nodes.resize(plan->num_nodes());
+  sol.store = std::make_unique<NodeStore>(release_interior);
   return sol;
 }
 
-void collect_accepting(DpSolution& solution, treedecomp::NodeId root) {
-  const std::vector<StateKey>& states = solution.nodes[root].states;
+std::span<const StateKey> store_states(NodeStore& store,
+                                       std::span<const StateKey> states) {
+  if (states.empty()) return {};
+  auto* out = std::launder(
+      reinterpret_cast<StateKey*>(store.allocate(states.size_bytes())));
+  std::copy(states.begin(), states.end(), out);
+  return {out, states.size()};
+}
+
+void collect_accepting(DpSolution& solution) {
+  const std::span<const StateKey> states =
+      solution.nodes[solution.plan->root()].states;
   for (std::uint32_t i = 0; i < states.size(); ++i) {
-    const bool sep_ok = !solution.separating ||
+    const bool sep_ok = !solution.plan->separating() ||
                         ((states[i].sep & kSepIx) != 0 &&
                          (states[i].sep & kSepOx) != 0);
     if (sep_ok && view_of(solution.codec, states[i].code).u_mask == 0)
@@ -79,13 +73,13 @@ void collect_accepting(DpSolution& solution, treedecomp::NodeId root) {
   solution.accepted = !solution.accepting.empty();
 }
 
-void solve_node_exact(const treedecomp::TreeDecomposition& td,
-                      const Pattern& pattern, treedecomp::NodeId x,
+void solve_node_exact(const Pattern& pattern, treedecomp::NodeId x,
                       DpSolution& solution, std::uint64_t* work) {
   SolvedNode& node = solution.nodes[x];
   const StateCodec& codec = solution.codec;
-  const bool separating = solution.separating;
-  const NodeEnv env = make_env(td, solution.nodes, x);
+  const bool separating = solution.plan->separating();
+  const BagView ctx = solution.ctx(x);
+  const NodeEnv env = make_env(solution, x);
   // Survivors stage through the thread's scratch; the node's states are
   // then sized exactly, so a solved node never carries growth slack and
   // the scratch arena absorbs all churn.
@@ -100,10 +94,10 @@ void solve_node_exact(const treedecomp::TreeDecomposition& td,
     return child == nullptr || child->sig_groups.contains(*sig);
   };
   enumerate_local_states(
-      pattern, node.ctx, codec, separating, [&](StateKey key) {
+      pattern, ctx, codec, separating, [&](StateKey key) {
         if (work != nullptr) ++*work;
         const bool supported = for_each_support_combo(
-            codec, node.ctx, key, env.left, env.right, separating,
+            codec, ctx, key, env.left, env.right, separating,
             [&](const StateKey* sl, const StateKey* sr) {
               if (work != nullptr) ++*work;
               return sig_present(env.left_node, sl) &&
@@ -113,42 +107,48 @@ void solve_node_exact(const treedecomp::TreeDecomposition& td,
       });
   scratch.arena.settle(bytes_before,
                        support::ScratchArena::bytes_of(survivors));
-  node.states.assign(survivors.begin(), survivors.end());
+  node.states = store_states(*solution.store, survivors);
 }
 
-void build_sig_groups(const treedecomp::TreeDecomposition& td,
-                      const Pattern& pattern, treedecomp::NodeId x,
+void build_sig_groups(const Pattern& pattern, treedecomp::NodeId x,
                       DpSolution& solution) {
   SolvedNode& node = solution.nodes[x];
-  if (td.parent[x] == treedecomp::kNoNode) return;
+  const DpPlan& plan = *solution.plan;
+  if (plan.parent(x) == treedecomp::kNoNode) return;
   DpScratch& scratch = DpScratch::local();
   auto& pairs = scratch.sig_pairs;
   scratch.arena.acquire(pairs, node.states.size());
-  // One merge builds the child->parent position table; each projection
-  // then re-addresses via table loads instead of per-vertex binary search.
-  const PositionMap pos_map =
-      make_position_map(node.ctx, solution.nodes[td.parent[x]].ctx);
+  // The plan's position table re-addresses each projection with table
+  // loads instead of a per-vertex binary search.
+  const std::int8_t* to_parent = plan.to_parent(x);
+  const BagView ctx = solution.ctx(x);
   const StateCodec& codec = solution.codec;
   for (std::uint32_t i = 0; i < node.states.size(); ++i) {
     const StateKey state = node.states[i];
     const auto sig = project_to_parent(state, view_of(codec, state.code),
-                                       codec, pattern, node.ctx, pos_map);
+                                       codec, pattern, ctx, to_parent);
     if (sig.has_value()) pairs.emplace_back(*sig, i);
   }
-  node.sig_groups.build(pairs);
+  node.sig_groups.build(pairs, *solution.store);
 }
 
 }  // namespace detail
 
+DpSolution solve_sequential(const std::shared_ptr<const DpPlan>& plan,
+                            const Pattern& pattern, const DpOptions& options) {
+  return detail::solve_bottom_up(
+      plan, pattern, options,
+      [&](DpSolution& sol, treedecomp::NodeId x, std::uint64_t& work) {
+        detail::solve_node_exact(pattern, x, sol, &work);
+        detail::build_sig_groups(pattern, x, sol);
+      });
+}
+
 DpSolution solve_sequential(const Graph& g,
                             const treedecomp::TreeDecomposition& td,
                             const Pattern& pattern, const DpOptions& options) {
-  return detail::solve_bottom_up(
-      g, td, pattern, options,
-      [&](DpSolution& sol, treedecomp::NodeId x, std::uint64_t& work) {
-        detail::solve_node_exact(td, pattern, x, sol, &work);
-        detail::build_sig_groups(td, pattern, x, sol);
-      });
+  return solve_sequential(std::make_shared<const DpPlan>(g, td, options.spec),
+                          pattern, options);
 }
 
 namespace {
@@ -235,12 +235,12 @@ struct AssignmentAccum {
 /// replaces.
 class Recoverer {
  public:
-  Recoverer(const DpSolution& sol, const treedecomp::TreeDecomposition& td,
-            std::size_t limit)
-      : sol_(sol), td_(td), limit_(limit), k_(sol.codec.k),
-        memo_(td.num_nodes()) {
-    for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x)
-      memo_[x].assign(sol_.nodes[x].states.size(), Group{});
+  Recoverer(const DpSolution& sol, std::size_t limit)
+      : sol_(sol), limit_(limit), k_(sol.codec.k),
+        memo_begin_(sol.nodes.size() + 1, 0) {
+    for (std::size_t x = 0; x < sol.nodes.size(); ++x)
+      memo_begin_[x + 1] = memo_begin_[x] + sol.nodes[x].states.size();
+    memo_.assign(memo_begin_.back(), Group{});
   }
 
   struct Group {
@@ -250,29 +250,30 @@ class Recoverer {
   static constexpr std::uint32_t kUnset = 0xffffffffu;
 
   Group expand(treedecomp::NodeId x, std::uint32_t state_idx) {
-    Group& slot = memo_[x][state_idx];
+    Group& slot = memo_[memo_begin_[x] + state_idx];
     if (slot.begin != kUnset) return slot;
     const SolvedNode& node = sol_.nodes[x];
     const StateKey state = node.states[state_idx];
+    const BagView ctx = sol_.ctx(x);
     std::array<Vertex, kMaxPatternSize> base;
     base.fill(kNoVertex);
     for (std::uint32_t v = 0; v < k_; ++v) {
       const std::uint64_t val = sol_.codec.get(state.code, v);
-      if (val >= kStateMapped)
-        base[v] = node.ctx.vertices[val - kStateMapped];
+      if (val >= kStateMapped) base[v] = ctx.vertices[val - kStateMapped];
     }
     AssignmentAccum& acc = accum_at(depth_);
     acc.reset(k_);
     ++depth_;
-    const auto& kids = td_.children[x];
+    const std::span<const treedecomp::NodeId> kids = sol_.plan->children(x);
     if (kids.empty()) {
       ++work_;
       acc.insert(base.data());
     } else {
       // Re-derive the support combos and expand through every valid pair.
-      const NodeEnv env = make_env(td_, sol_.nodes, x);
+      const NodeEnv env = make_env(sol_, x);
       detail::for_each_support_combo(
-          sol_.codec, node.ctx, state, env.left, env.right, sol_.separating,
+          sol_.codec, ctx, state, env.left, env.right,
+          sol_.plan->separating(),
           [&](const StateKey* sl, const StateKey* sr) {
             std::span<const std::uint32_t> lgroup, rgroup;
             if (sl != nullptr) {
@@ -313,7 +314,7 @@ class Recoverer {
     return *accums_[depth];
   }
 
-  void combine(const std::vector<treedecomp::NodeId>& kids,
+  void combine(std::span<const treedecomp::NodeId> kids,
                const Vertex* base,
                const std::span<const std::uint32_t>* lgroup,
                const std::span<const std::uint32_t>* rgroup,
@@ -366,10 +367,10 @@ class Recoverer {
   }
 
   const DpSolution& sol_;
-  const treedecomp::TreeDecomposition& td_;
   std::size_t limit_;
   std::uint32_t k_;
-  std::vector<std::vector<Group>> memo_;       ///< per node, per state
+  std::vector<std::size_t> memo_begin_;  ///< node -> first slot in memo_
+  std::vector<Group> memo_;              ///< per (node, state)
   std::vector<Vertex> pool_;                   ///< finished groups, sorted
   std::vector<std::unique_ptr<AssignmentAccum>> accums_;  ///< per depth
   std::vector<std::uint32_t> order_;
@@ -379,19 +380,19 @@ class Recoverer {
 
 }  // namespace
 
-std::vector<Assignment> recover_assignments(
-    const DpSolution& solution, const treedecomp::TreeDecomposition& td,
-    std::size_t limit, std::uint64_t* work) {
+std::vector<Assignment> recover_assignments(const DpSolution& solution,
+                                            std::size_t limit,
+                                            std::uint64_t* work) {
   std::vector<Assignment> out;
   if (limit == 0) return out;
-  Recoverer recoverer(solution, td, limit);
+  Recoverer recoverer(solution, limit);
   // Cross-state dedup replicates the legacy std::set<Assignment> exactly:
   // first `limit` distinct assignments over the per-state (sorted) groups
   // in accepting order, returned in sorted order.
   AssignmentAccum all;
   all.reset(solution.codec.k);
   for (const std::uint32_t idx : solution.accepting) {
-    const Recoverer::Group group = recoverer.expand(td.root, idx);
+    const Recoverer::Group group = recoverer.expand(solution.plan->root(), idx);
     for (std::uint32_t i = 0; i < group.count; ++i) {
       all.insert(recoverer.assignment(group, i));
       if (all.count >= limit) break;
@@ -405,6 +406,14 @@ std::vector<Assignment> recover_assignments(
     out.emplace_back(all.at(ordinal), all.at(ordinal) + all.k);
   if (work != nullptr) *work = recoverer.work();
   return out;
+}
+
+std::vector<Assignment> recover_assignments(
+    const DpSolution& solution, const treedecomp::TreeDecomposition& td,
+    std::size_t limit, std::uint64_t* work) {
+  support::require(td.num_nodes() == solution.plan->num_nodes(),
+                   "recover_assignments: not the solution's decomposition");
+  return recover_assignments(solution, limit, work);
 }
 
 }  // namespace ppsi::iso

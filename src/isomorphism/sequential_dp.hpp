@@ -12,26 +12,33 @@
 // the children's signature indexes; leaves accept exactly the C = empty
 // states whose separating bits match the local contributions.
 //
-// ---- State-storage layout (flat engine) ----
+// ---- Layout ----
 //
-// A SolvedNode stores its states in two exactly-sized structures:
+// Everything a solve reads that does not depend on the pattern — bags,
+// bag adjacency, separating masks, parent/child links, shared-position
+// masks, child->parent position tables and the bottom-up order — is one
+// flat DpPlan per slice (isomorphism/dp_plan.hpp), which the Solver
+// caches and every solve over the slice shares read-only. A DpSolution
+// holds the plan, its codec and parity pin, and one SolvedNode per
+// decomposition node:
 //   * states      — the valid StateKeys, in discovery order (the engines'
 //                   canonical order; every index below refers into it),
 //   * sig_groups  — CSR signature groups toward the parent
 //                   (isomorphism/sig_index.hpp): sorted signature array +
 //                   offsets + flat state-index array.
-// Both are built once per node with exact sizes: every engine stages the
-// node's states in the per-thread scratch (isomorphism/dp_scratch.hpp) and
-// copies them once, and the signature groups take one allocation. The
-// scratch arena supplies every intermediate buffer, the sparse engine's
-// state-dedup set included, so the engines do no steady-state scratch
-// allocation after warmup.
+// Both are exactly-sized arrays from the solution's NodeStore
+// (isomorphism/node_store.hpp), which carves small arrays from a few
+// chunks per solve instead of two heap blocks per node. Every engine stages a node's states in
+// the per-thread scratch (isomorphism/dp_scratch.hpp) and copies them
+// once. The scratch arena supplies every intermediate buffer, the sparse
+// engine's state-dedup set included, so the engines do no steady-state
+// scratch allocation after warmup.
 //
-// All three engines start from detail::prepare_solution, which builds the
-// codec, every node's bag context (`ctx`) and every non-root node's
-// shared-position mask before any node is solved, and end with
-// detail::collect_accepting. solve_sequential and solve_sparse also share
-// the bottom-up pass (detail::solve_bottom_up); only their kernels differ.
+// All three engines start from detail::prepare_solution (codec, pin, node
+// array) and end with detail::collect_accepting. solve_sequential and
+// solve_sparse also share the bottom-up pass (detail::solve_bottom_up);
+// only their kernels differ. Each engine takes a plan; the overloads that
+// take (graph, decomposition) build a temporary plan from options.spec.
 //
 // Instrumented work counts are *layout-invariant*: the counters tick per
 // candidate state, per support combination, and per DAG edge scanned —
@@ -43,14 +50,18 @@
 // Decision-only callers can set release_interior: once a node's parent has
 // consumed its signature groups, the node's storage is freed eagerly, so
 // the peak memory of a decision query is one root frontier instead of the
-// whole solved tree. Witness recovery needs the full tree and must leave
-// it unset.
+// whole solved tree (the NodeStore recycles the freed blocks). Witness
+// recovery needs the full tree and must leave it unset.
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "isomorphism/dp_plan.hpp"
 #include "isomorphism/dp_scratch.hpp"
+#include "isomorphism/node_store.hpp"
 #include "isomorphism/pattern.hpp"
 #include "isomorphism/sig_index.hpp"
 #include "isomorphism/state_enumeration.hpp"
@@ -66,33 +77,38 @@ namespace ppsi::iso {
 using Assignment = std::vector<Vertex>;
 
 struct SolvedNode {
-  BagContext ctx;
-  std::vector<StateKey> states;  ///< valid states, in discovery order
+  std::span<const StateKey> states;  ///< valid states, in discovery order
   /// CSR groups: projection toward the parent -> valid-state indices.
   SigIndex sig_groups;
-  /// Parent-bag positions whose vertex is also in this bag; set for every
-  /// non-root node by the setup, before any node is solved.
-  std::uint64_t shared_with_parent = 0;
 
-  /// Frees the solved storage (decision-only queries, once the parent has
-  /// consumed this node).
-  void release_interior() {
-    std::vector<StateKey>().swap(states);
-    sig_groups.release();
+  /// Hands the solved storage back to `store` (decision-only queries, once
+  /// the parent has consumed this node).
+  void release_interior(NodeStore& store) {
+    store.release(states.data(), states.size_bytes());
+    states = {};
+    sig_groups.release(store);
   }
 };
 
 struct DpSolution {
+  std::shared_ptr<const DpPlan> plan;  ///< the slice's pattern-free half
   StateCodec codec;
-  bool separating = false;
+  ParityPin pin;  ///< the solve's parity pin (parity_pin of plan, pattern)
   std::vector<SolvedNode> nodes;             ///< per decomposition node
   std::vector<std::uint32_t> accepting;      ///< root state indices
   bool accepted = false;
   support::Metrics metrics;
+  std::unique_ptr<NodeStore> store;  ///< backs every node's arrays
+
+  /// Node x's bag context under this solve's pin.
+  BagView ctx(treedecomp::NodeId x) const { return plan->context(x, pin); }
 };
 
 struct DpOptions {
-  SeparatingSpec spec;  ///< separating configuration (disabled by default)
+  /// Separating configuration (disabled by default). Only the overloads
+  /// taking (graph, decomposition) read it, to build their plan; a plan
+  /// carries the spec it was built with.
+  SeparatingSpec spec;
   /// Free each node's storage as soon as its parent consumed it; leaves
   /// only the root solved. Decision-only (recovery impossible afterwards).
   bool release_interior = false;
@@ -104,7 +120,11 @@ struct DpOptions {
   support::CancelScope cancel;
 };
 
-/// Eppstein's sequential bottom-up DP. `td` must be binary.
+/// Eppstein's sequential bottom-up DP over a slice's plan.
+DpSolution solve_sequential(const std::shared_ptr<const DpPlan>& plan,
+                            const Pattern& pattern, const DpOptions& options);
+/// The same over a temporary plan of (g, td, options.spec); `td` must be
+/// binary.
 DpSolution solve_sequential(const Graph& g,
                             const treedecomp::TreeDecomposition& td,
                             const Pattern& pattern, const DpOptions& options);
@@ -116,6 +136,11 @@ DpSolution solve_sequential(const Graph& g,
 /// expansion work. `work`, when non-null, receives the instrumented
 /// recovery operation count (kept separate from DpSolution::metrics so
 /// solve-side work stays comparable across engines).
+std::vector<Assignment> recover_assignments(const DpSolution& solution,
+                                            std::size_t limit,
+                                            std::uint64_t* work = nullptr);
+/// The same; `td` must be the decomposition the solution was solved over
+/// (the solution's plan already carries it).
 std::vector<Assignment> recover_assignments(
     const DpSolution& solution, const treedecomp::TreeDecomposition& td,
     std::size_t limit, std::uint64_t* work = nullptr);
@@ -152,7 +177,7 @@ struct ChildLink {
 /// bit-identical to for_each_support_combo_ref below, which keeps the
 /// original per-field formulation as the differential reference.
 template <class Visit>
-bool for_each_support_combo(const StateCodec& codec, const BagContext& ctx,
+bool for_each_support_combo(const StateCodec& codec, const BagView& ctx,
                             StateKey state, const ChildLink& left,
                             const ChildLink& right, bool separating,
                             Visit&& visit) {
@@ -228,7 +253,7 @@ bool for_each_support_combo(const StateCodec& codec, const BagContext& ctx,
 /// the differential reference: the kernel suite asserts the bit-parallel
 /// version visits the identical (sigL, sigR) sequence.
 template <class Visit>
-bool for_each_support_combo_ref(const StateCodec& codec, const BagContext& ctx,
+bool for_each_support_combo_ref(const StateCodec& codec, const BagView& ctx,
                                 StateKey state, const ChildLink& left,
                                 const ChildLink& right, bool separating,
                                 Visit&& visit) {
@@ -285,49 +310,48 @@ bool for_each_support_combo_ref(const StateCodec& codec, const BagContext& ctx,
   return false;
 }
 
-/// The setup every engine starts from: the codec sized by the widest bag,
-/// the separating flag, every node's bag context (with the run's parity
-/// pin) and every non-root node's shared_with_parent. Throws unless `td`
-/// is binary.
-DpSolution prepare_solution(const Graph& g,
-                            const treedecomp::TreeDecomposition& td,
-                            const Pattern& pattern, const SeparatingSpec& spec);
+/// The setup every engine starts from: the codec sized by the plan's
+/// widest bag, the parity pin, and one empty SolvedNode per plan node
+/// backed by a fresh NodeStore (recycling when `release_interior`).
+DpSolution prepare_solution(const std::shared_ptr<const DpPlan>& plan,
+                            const Pattern& pattern, bool release_interior);
+
+/// Copies `states` into a block of `store` (none when empty).
+std::span<const StateKey> store_states(NodeStore& store,
+                                       std::span<const StateKey> states);
 
 /// Fills solution.accepting and accepted from the root's states: no
 /// pattern vertex left U and, when separating, both ix and ox set.
-void collect_accepting(DpSolution& solution, treedecomp::NodeId root);
+void collect_accepting(DpSolution& solution);
 
 /// Solves one node exactly against its (already solved) children:
 /// enumerates the locally valid states and keeps the supported ones.
 /// Fills solution.nodes[x].states exactly sized, staging through the
 /// thread's scratch; sig_groups are built separately. Every child must
 /// already have its sig_groups built.
-void solve_node_exact(const treedecomp::TreeDecomposition& td,
-                      const Pattern& pattern, treedecomp::NodeId x,
+void solve_node_exact(const Pattern& pattern, treedecomp::NodeId x,
                       DpSolution& solution, std::uint64_t* work);
 
 /// Builds solution.nodes[x].sig_groups (projections toward the parent)
-/// from the node's states and the ctx of x and of its parent.
-void build_sig_groups(const treedecomp::TreeDecomposition& td,
-                      const Pattern& pattern, treedecomp::NodeId x,
+/// from the node's states and the plan's position table of x.
+void build_sig_groups(const Pattern& pattern, treedecomp::NodeId x,
                       DpSolution& solution);
 
 /// The bottom-up pass of solve_sequential and solve_sparse: prepares the
-/// solution, then calls solve_node(solution, x, work) per node, children
-/// first, `work` being the pass's work counter. Each node is one round.
-/// A cancelled pass stops at the next node and returns its partial
-/// solution with accepted == false.
+/// solution, then calls solve_node(solution, x, work) per node in the
+/// plan's bottom-up order, `work` being the pass's work counter. Each node
+/// is one round. A cancelled pass stops at the next node and returns its
+/// partial solution with accepted == false.
 template <class SolveNode>
-DpSolution solve_bottom_up(const Graph& g,
-                           const treedecomp::TreeDecomposition& td,
+DpSolution solve_bottom_up(const std::shared_ptr<const DpPlan>& plan,
                            const Pattern& pattern, const DpOptions& options,
                            SolveNode&& solve_node) {
-  DpSolution sol = prepare_solution(g, td, pattern, options.spec);
+  DpSolution sol = prepare_solution(plan, pattern, options.release_interior);
   std::uint64_t work = 0;
   DpScratch& scratch = DpScratch::local();
   const std::uint64_t allocs_before = scratch.arena.alloc_events();
   bool preempted = false;
-  for (const treedecomp::NodeId x : bottom_up_order(td)) {
+  for (const treedecomp::NodeId x : plan->bottom_up()) {
     // One poll per node bounds the overshoot to a single node; the caller
     // discards the partial solution (its scope sees the same sources).
     if (options.cancel.cancelled()) {
@@ -340,14 +364,14 @@ DpSolution solve_bottom_up(const Graph& g,
     // x consumed its children's signature groups; nothing reads them (or
     // the children's states) again in a decision-only run.
     if (options.release_interior) {
-      for (const treedecomp::NodeId kid : td.children[x])
-        sol.nodes[kid].release_interior();
+      for (const treedecomp::NodeId kid : plan->children(x))
+        sol.nodes[kid].release_interior(*sol.store);
     }
   }
   sol.metrics.add_work(work);
   sol.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);
   sol.metrics.note_scratch_peak(scratch.arena.peak_bytes());
-  if (!preempted) collect_accepting(sol, td.root);
+  if (!preempted) collect_accepting(sol);
   return sol;
 }
 

@@ -8,8 +8,8 @@
 // unordered_map<StateKey, vector<uint32>> — one heap node per signature
 // plus one heap vector per group, probed on the engine's hottest lookup
 // (`is this child signature present?`). This layout packs the same data
-// into three flat arrays carved from one exactly-sized allocation per
-// node:
+// into three flat arrays carved from one block of the solution's
+// NodeStore (isomorphism/node_store.hpp) per node:
 //
 //   sigs     – the distinct signatures, sorted by (code, sep)
 //   offsets  – offsets[i]..offsets[i+1] delimit group i in `indices`
@@ -25,39 +25,29 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <new>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "isomorphism/node_store.hpp"
 #include "isomorphism/state_enumeration.hpp"
 
 namespace ppsi::iso {
 
+/// A view: the arrays live in the NodeStore the index was built from, and
+/// copies share them.
 class SigIndex {
  public:
-  SigIndex() = default;
-  SigIndex(const SigIndex& other) { copy_from(other); }
-  SigIndex(SigIndex&& other) noexcept { take(other); }
-  SigIndex& operator=(const SigIndex& other) {
-    if (this != &other) copy_from(other);
-    return *this;
-  }
-  SigIndex& operator=(SigIndex&& other) noexcept {
-    if (this != &other) take(other);
-    return *this;
-  }
-
   /// Builds from (signature, state index) pairs; sorts `pairs` in place.
-  /// Storage is exact: one allocation holds all three arrays.
-  void build(std::vector<std::pair<StateKey, std::uint32_t>>& pairs) {
+  /// Storage is exact: one block of `store` holds all three arrays.
+  void build(std::vector<std::pair<StateKey, std::uint32_t>>& pairs,
+             NodeStore& store) {
     std::sort(pairs.begin(), pairs.end());
     std::size_t distinct = 0;
     for (std::size_t i = 0; i < pairs.size(); ++i)
       if (i == 0 || !(pairs[i].first == pairs[i - 1].first)) ++distinct;
-    allocate(distinct, pairs.size());
+    allocate(distinct, pairs.size(), store);
     std::size_t slot = 0;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       if (i == 0 || !(pairs[i].first == pairs[i - 1].first)) {
@@ -70,9 +60,14 @@ class SigIndex {
       offsets_[distinct] = static_cast<std::uint32_t>(pairs.size());
   }
 
-  /// Drops the storage entirely (decision-only queries release solved
-  /// interior nodes once their parent has consumed them).
-  void release() { allocate(0, 0); }
+  /// Hands the storage back to `store` and empties the index
+  /// (decision-only queries release solved interior nodes once their
+  /// parent has consumed them).
+  void release(NodeStore& store) {
+    if (num_sigs_ != 0 || num_indices_ != 0)
+      store.release(sigs_, bytes_for(num_sigs_, num_indices_));
+    *this = SigIndex();
+  }
 
   bool contains(const StateKey& sig) const { return slot_of(sig) >= 0; }
 
@@ -98,39 +93,19 @@ class SigIndex {
            (distinct + 1 + n) * sizeof(std::uint32_t);
   }
 
-  /// Replaces the storage with room for `distinct` signatures and `n`
-  /// state indices (none when both are zero), carving the three arrays
-  /// from one allocation: signatures first, so every array is aligned.
-  void allocate(std::size_t distinct, std::size_t n) {
-    storage_.reset();
-    sigs_ = nullptr;
-    offsets_ = indices_ = nullptr;
+  /// Carves room for `distinct` signatures and `n` state indices (none
+  /// when both are zero) from one block: signatures first, so every array
+  /// is aligned.
+  void allocate(std::size_t distinct, std::size_t n, NodeStore& store) {
+    *this = SigIndex();
     num_sigs_ = distinct;
     num_indices_ = n;
     if (distinct == 0 && n == 0) return;
-    storage_ =
-        std::make_unique_for_overwrite<std::byte[]>(bytes_for(distinct, n));
-    std::byte* raw = storage_.get();
+    std::byte* raw = store.allocate(bytes_for(distinct, n));
     sigs_ = std::launder(reinterpret_cast<StateKey*>(raw));
     offsets_ = std::launder(
         reinterpret_cast<std::uint32_t*>(raw + distinct * sizeof(StateKey)));
     indices_ = offsets_ + distinct + 1;
-  }
-
-  void copy_from(const SigIndex& other) {
-    allocate(other.num_sigs_, other.num_indices_);
-    if (storage_ != nullptr)
-      std::memcpy(storage_.get(), other.storage_.get(),
-                  bytes_for(num_sigs_, num_indices_));
-  }
-
-  void take(SigIndex& other) {
-    storage_ = std::move(other.storage_);
-    sigs_ = std::exchange(other.sigs_, nullptr);
-    offsets_ = std::exchange(other.offsets_, nullptr);
-    indices_ = std::exchange(other.indices_, nullptr);
-    num_sigs_ = std::exchange(other.num_sigs_, 0);
-    num_indices_ = std::exchange(other.num_indices_, 0);
   }
 
   std::ptrdiff_t slot_of(const StateKey& sig) const {
@@ -140,7 +115,6 @@ class SigIndex {
     return it - all.begin();
   }
 
-  std::unique_ptr<std::byte[]> storage_;
   StateKey* sigs_ = nullptr;
   std::uint32_t* offsets_ = nullptr;
   std::uint32_t* indices_ = nullptr;

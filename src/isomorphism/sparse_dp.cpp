@@ -55,22 +55,26 @@ bool merge_signatures(const StateCodec& codec, std::uint64_t shared_l,
 struct NodeGen {
   const StateCodec& codec;
   const Pattern& pattern;
-  const BagContext& ctx;
+  const BagView& ctx;
   bool separating;
-  const PositionMap* to_parent;  ///< null at the root
+  const std::int8_t* to_parent;  ///< the plan's table; null at the root
   detail::DpScratch& scratch;
 
-  /// Stages `key` (whose code decodes to `view`) unless already present,
-  /// and appends its projection toward the parent, so the pairs come out
-  /// in state-index order as build_sig_groups would produce them.
-  void emit(StateKey key, const StateView& view) {
+  /// Stages state {code, sep} (whose code decodes to `view`) unless
+  /// already present, and appends its projection toward the parent, so
+  /// the pairs come out in state-index order as build_sig_groups would
+  /// produce them. The halves arrive as two scalars: a StateKey argument
+  /// is spilled as two 8-byte stores and reloaded as one 16-byte load,
+  /// which stalls store forwarding once per emitted state.
+  void emit(std::uint64_t code, std::uint64_t sep, const StateView& view) {
     const auto index =
         static_cast<std::uint32_t>(scratch.exact_states.size());
-    if (!scratch.staged_set.insert(scratch.exact_states, key, scratch.arena))
+    if (!scratch.staged_set.insert(scratch.exact_states, code, sep,
+                                   scratch.arena))
       return;
     if (to_parent == nullptr) return;
-    const auto sig =
-        project_to_parent(key, view, codec, pattern, ctx, *to_parent);
+    const auto sig = project_to_parent(StateKey{code, sep}, view, codec,
+                                       pattern, ctx, to_parent);
     if (sig.has_value()) scratch.sig_pairs.emplace_back(*sig, index);
   }
 
@@ -141,7 +145,7 @@ struct NodeGen {
       }
     }
     if (!separating) {
-      emit({code, 0}, view);
+      emit(code, 0, view);
       return;
     }
     // Labels: components of the bag minus the image; a component touching a
@@ -176,23 +180,21 @@ struct NodeGen {
       std::uint64_t sep = inside | child_bits;
       if (li) sep |= kSepIx;
       if (lo) sep |= kSepOx;
-      emit({code, sep}, view);
+      emit(code, sep, view);
     }
   }
 };
 
 /// The sparse node kernel: generates node x's states from its children's
 /// signature sets and builds its signature index toward the parent.
-void solve_sparse_node(const treedecomp::TreeDecomposition& td,
-                       const Pattern& pattern, treedecomp::NodeId x,
+void solve_sparse_node(const Pattern& pattern, treedecomp::NodeId x,
                        DpSolution& sol, std::uint64_t& work) {
   const StateCodec& codec = sol.codec;
+  const DpPlan& plan = *sol.plan;
   detail::DpScratch& scratch = detail::DpScratch::local();
   SolvedNode& node = sol.nodes[x];
-  const treedecomp::NodeId parent = td.parent[x];
-  PositionMap to_parent;
-  if (parent != treedecomp::kNoNode)
-    to_parent = make_position_map(node.ctx, sol.nodes[parent].ctx);
+  const bool has_parent = plan.parent(x) != treedecomp::kNoNode;
+  const BagView ctx = sol.ctx(x);
   // States stage through the thread's scratch and are copied once into the
   // node's exact-sized array (as in solve_node_exact). The dedup set is
   // swept here, before the node, so a node that threw leaves nothing
@@ -204,9 +206,9 @@ void solve_sparse_node(const treedecomp::TreeDecomposition& td,
   staged.clear();
   pairs.clear();
   scratch.staged_set.begin_node(scratch.arena);
-  NodeGen gen{codec, pattern, node.ctx, sol.separating,
-              parent != treedecomp::kNoNode ? &to_parent : nullptr, scratch};
-  const auto& kids = td.children[x];
+  NodeGen gen{codec, pattern, ctx, plan.separating(),
+              has_parent ? plan.to_parent(x) : nullptr, scratch};
+  const std::span<const treedecomp::NodeId> kids = plan.children(x);
   if (kids.empty()) {
     // Leaf: C = empty, everything else free.
     ++work;
@@ -214,7 +216,7 @@ void solve_sparse_node(const treedecomp::TreeDecomposition& td,
     gen.expand_matches(0, view, view.u_mask, 0, 0, 0, 0);
   } else if (kids.size() == 1) {
     const SolvedNode& child = sol.nodes[kids[0]];
-    const std::uint64_t shared = child.shared_with_parent;
+    const std::uint64_t shared = plan.shared_with_parent(kids[0]);
     for (const StateKey& sig : child.sig_groups.sigs()) {
       ++work;
       // The signature itself is the forced base (U/C/mapped fields).
@@ -226,8 +228,8 @@ void solve_sparse_node(const treedecomp::TreeDecomposition& td,
   } else {
     const SolvedNode& left = sol.nodes[kids[0]];
     const SolvedNode& right = sol.nodes[kids[1]];
-    const std::uint64_t shared_l = left.shared_with_parent;
-    const std::uint64_t shared_r = right.shared_with_parent;
+    const std::uint64_t shared_l = plan.shared_with_parent(kids[0]);
+    const std::uint64_t shared_r = plan.shared_with_parent(kids[1]);
     const std::uint64_t shared_lr = shared_l & shared_r;
     // Join the signature sets on their shared-position restriction.
     const auto join_key = [&](StateKey sig) {
@@ -290,21 +292,27 @@ void solve_sparse_node(const treedecomp::TreeDecomposition& td,
   }
   scratch.arena.settle(staged_bytes, support::ScratchArena::bytes_of(staged));
   scratch.arena.settle(pairs_bytes, support::ScratchArena::bytes_of(pairs));
-  node.states.assign(staged.begin(), staged.end());
+  node.states = detail::store_states(*sol.store, staged);
   work += node.states.size();
-  if (parent != treedecomp::kNoNode) node.sig_groups.build(pairs);
+  if (has_parent) node.sig_groups.build(pairs, *sol.store);
 }
 
 }  // namespace
 
+DpSolution solve_sparse(const std::shared_ptr<const DpPlan>& plan,
+                        const Pattern& pattern, const DpOptions& options) {
+  return detail::solve_bottom_up(
+      plan, pattern, options,
+      [&](DpSolution& sol, treedecomp::NodeId x, std::uint64_t& work) {
+        solve_sparse_node(pattern, x, sol, work);
+      });
+}
+
 DpSolution solve_sparse(const Graph& g,
                         const treedecomp::TreeDecomposition& td,
                         const Pattern& pattern, const DpOptions& options) {
-  return detail::solve_bottom_up(
-      g, td, pattern, options,
-      [&](DpSolution& sol, treedecomp::NodeId x, std::uint64_t& work) {
-        solve_sparse_node(td, pattern, x, sol, work);
-      });
+  return solve_sparse(std::make_shared<const DpPlan>(g, td, options.spec),
+                      pattern, options);
 }
 
 }  // namespace ppsi::iso

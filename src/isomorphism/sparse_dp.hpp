@@ -18,7 +18,11 @@
 
 namespace ppsi::iso {
 
-/// Sparse counterpart of solve_sequential; `td` must be binary.
+/// Sparse counterpart of solve_sequential over a slice's plan.
+DpSolution solve_sparse(const std::shared_ptr<const DpPlan>& plan,
+                        const Pattern& pattern, const DpOptions& options);
+/// The same over a temporary plan of (g, td, options.spec); `td` must be
+/// binary.
 DpSolution solve_sparse(const Graph& g,
                         const treedecomp::TreeDecomposition& td,
                         const Pattern& pattern, const DpOptions& options);

@@ -20,16 +20,26 @@ StateCodec StateCodec::make(std::uint32_t k, std::uint32_t max_bag) {
   return codec;
 }
 
-int BagContext::position_of(Vertex g) const {
+int BagView::position_of(Vertex g) const {
   const auto it = std::lower_bound(vertices.begin(), vertices.end(), g);
   if (it == vertices.end() || *it != g) return -1;
   return static_cast<int>(it - vertices.begin());
 }
 
-ParityPin parity_pin(const Graph& g, const SeparatingSpec& spec,
-                     const Pattern& pattern) {
+bool allowed_edges_alternate(const Graph& g, const SeparatingSpec& spec) {
+  if (!spec.enabled) return false;
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    if (!spec.allowed[u]) continue;
+    for (Vertex w : g.neighbors(u)) {
+      if (spec.allowed[w] && spec.in_s[u] == spec.in_s[w]) return false;
+    }
+  }
+  return true;
+}
+
+ParityPin parity_pin(const Pattern& pattern, bool alternating) {
   const std::uint32_t k = pattern.size();
-  if (!spec.enabled || k < 4 || k % 2 != 0) return {};
+  if (!alternating || k < 4 || k % 2 != 0) return {};
   // Walk the cycle from vertex 0; it must visit all k vertices, each of
   // degree 2, before closing.
   std::uint32_t even = 0;
@@ -47,48 +57,62 @@ ParityPin parity_pin(const Graph& g, const SeparatingSpec& spec,
     cur = next;
   }
   if (cur != 0) return {};
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (!spec.allowed[u]) continue;
-    for (Vertex w : g.neighbors(u)) {
-      if (spec.allowed[w] && spec.in_s[u] == spec.in_s[w]) return {};
-    }
-  }
   return {even, seen & ~even};
 }
 
-BagContext make_bag_context(const Graph& g, std::vector<Vertex> bag,
-                            const SeparatingSpec& spec, ParityPin pin) {
-  std::sort(bag.begin(), bag.end());
+ParityPin parity_pin(const Graph& g, const SeparatingSpec& spec,
+                     const Pattern& pattern) {
+  return parity_pin(pattern, allowed_edges_alternate(g, spec));
+}
+
+namespace detail {
+
+BagView fill_bag(const Graph& g, std::span<const Vertex> bag,
+                 const SeparatingSpec& spec, std::uint64_t* gadj) {
   support::require(bag.size() <= kSepInsideBits,
                    "make_bag_context: bag too large (max 56 vertices)");
-  BagContext ctx;
-  ctx.vertices = std::move(bag);
+  BagView ctx;
+  ctx.vertices = bag;
+  ctx.gadj = gadj;
   const std::uint32_t b = ctx.size();
-  ctx.all_mask = b == 0 ? 0 : ((b == 64 ? ~0ULL : (1ULL << b) - 1));
-  ctx.gadj.assign(b, 0);
+  ctx.all_mask = b == 0 ? 0 : (1ULL << b) - 1;
   for (std::uint32_t p = 0; p < b; ++p) {
-    const Vertex u = ctx.vertices[p];
-    // Scan the shorter of (bag, adjacency) for membership.
-    for (Vertex w : g.neighbors(u)) {
+    gadj[p] = 0;
+    for (Vertex w : g.neighbors(bag[p])) {
       const int q = ctx.position_of(w);
-      if (q >= 0) ctx.gadj[p] |= 1ULL << q;
+      if (q >= 0) gadj[p] |= 1ULL << q;
     }
-    ctx.gadj[p] &= ~(1ULL << p);
+    gadj[p] &= ~(1ULL << p);
   }
   if (spec.enabled) {
     for (std::uint32_t p = 0; p < b; ++p) {
-      const Vertex u = ctx.vertices[p];
-      if (spec.allowed[u]) ctx.allowed_mask |= 1ULL << p;
-      if (spec.in_s[u]) ctx.s_mask |= 1ULL << p;
+      if (spec.allowed[bag[p]]) ctx.allowed_mask |= 1ULL << p;
+      if (spec.in_s[bag[p]]) ctx.s_mask |= 1ULL << p;
     }
   } else {
     ctx.allowed_mask = ctx.all_mask;
   }
+  return ctx;
+}
+
+}  // namespace detail
+
+BagContext make_bag_context(const Graph& g, std::vector<Vertex> bag,
+                            const SeparatingSpec& spec, ParityPin pin) {
+  std::sort(bag.begin(), bag.end());
+  BagContext ctx;
+  ctx.vertices = std::move(bag);
+  ctx.gadj.resize(ctx.vertices.size());
+  const BagView view =
+      detail::fill_bag(g, ctx.vertices, spec, ctx.gadj.data());
+  ctx.allowed_mask = view.allowed_mask;
+  ctx.s_mask = view.s_mask;
+  ctx.all_mask = view.all_mask;
   ctx.pin = pin;
   return ctx;
 }
 
-bool locally_valid(const Pattern& pattern, const BagContext& ctx,
+bool locally_valid(const Pattern& pattern, const BagView& ctx,
                    const StateCodec& codec, bool separating, StateKey key) {
   const StateView view = view_of(codec, key.code);
   std::uint64_t seen = 0;
@@ -136,7 +160,7 @@ bool locally_valid(const Pattern& pattern, const BagContext& ctx,
   return true;
 }
 
-void local_sep_bits(const BagContext& ctx, const StateCodec& codec,
+void local_sep_bits(const BagView& ctx, const StateCodec& codec,
                     StateKey key, bool* li, bool* lo) {
   const StateView view = view_of(codec, key.code);
   const std::uint64_t unmapped = ctx.all_mask & ~view.image_mask;
@@ -148,8 +172,8 @@ void local_sep_bits(const BagContext& ctx, const StateCodec& codec,
 std::optional<StateKey> project_to_parent(StateKey child_state,
                                           const StateCodec& codec,
                                           const Pattern& pattern,
-                                          const BagContext& child_ctx,
-                                          const BagContext& parent_ctx) {
+                                          const BagView& child_ctx,
+                                          const BagView& parent_ctx) {
   StateKey sig;
   const StateView child_view = view_of(codec, child_state.code);
   for (std::uint32_t v = 0; v < codec.k; ++v) {
@@ -188,8 +212,8 @@ std::optional<StateKey> project_to_parent(StateKey child_state,
   return sig;
 }
 
-PositionMap make_position_map(const BagContext& child_ctx,
-                              const BagContext& parent_ctx) {
+PositionMap make_position_map(const BagView& child_ctx,
+                              const BagView& parent_ctx) {
   PositionMap map;
   map.to_parent.fill(-1);
   // Both vertex arrays are sorted, so a single merge suffices.
@@ -207,8 +231,8 @@ std::optional<StateKey> project_to_parent(StateKey child_state,
                                           const StateView& child_view,
                                           const StateCodec& codec,
                                           const Pattern& pattern,
-                                          const BagContext& child_ctx,
-                                          const PositionMap& pos_map) {
+                                          const BagView& child_ctx,
+                                          const std::int8_t* to_parent) {
   // U and C fields project to themselves, so only the mapped fields need
   // rewriting: keep the shared ones (re-addressed via the table), turn
   // forgotten ones into C after the forgotten-vertex soundness check.
@@ -219,7 +243,7 @@ std::optional<StateKey> project_to_parent(StateKey child_state,
     const auto v = static_cast<std::uint32_t>(std::countr_zero(mm));
     mm &= mm - 1;
     const std::uint64_t q = codec.get(child_state.code, v) - kStateMapped;
-    const int p = pos_map.to_parent[q];
+    const int p = to_parent[q];
     if (p >= 0) {
       sig.code =
           codec.set(sig.code, v, kStateMapped + static_cast<std::uint64_t>(p));
@@ -233,7 +257,7 @@ std::optional<StateKey> project_to_parent(StateKey child_state,
   while (labels != 0) {
     const int q = std::countr_zero(labels);
     labels &= labels - 1;
-    const int p = pos_map.to_parent[q];
+    const int p = to_parent[q];
     if (p >= 0) sig.sep |= 1ULL << p;
   }
   sig.sep |= child_state.sep & (kSepIx | kSepOx);
@@ -241,7 +265,7 @@ std::optional<StateKey> project_to_parent(StateKey child_state,
 }
 
 StateKey required_signature(StateKey parent_state, const StateCodec& codec,
-                            const BagContext& parent_ctx,
+                            const BagView& parent_ctx,
                             std::uint64_t shared_mask,
                             std::uint32_t child_c_mask, bool iy, bool oy) {
   StateKey sig;
@@ -267,7 +291,7 @@ StateKey required_signature(StateKey parent_state, const StateCodec& codec,
 }
 
 StateKey combo_base_signature(StateKey parent_state, const StateCodec& codec,
-                              const BagContext& parent_ctx,
+                              const BagView& parent_ctx,
                               std::uint64_t shared_mask) {
   // Equivalent to required_signature(parent_state, ..., child_c_mask = 0,
   // iy = oy = false): C fields become U (0), mapped fields survive only
@@ -290,8 +314,8 @@ StateKey combo_base_signature(StateKey parent_state, const StateCodec& codec,
   return sig;
 }
 
-std::uint64_t shared_position_mask(const BagContext& parent_ctx,
-                                   const BagContext& child_ctx) {
+std::uint64_t shared_position_mask(const BagView& parent_ctx,
+                                   const BagView& child_ctx) {
   std::uint64_t mask = 0;
   for (std::uint32_t p = 0; p < parent_ctx.size(); ++p) {
     if (child_ctx.position_of(parent_ctx.vertices[p]) >= 0)

@@ -16,7 +16,7 @@
 // Local validity (the per-state part of the consistency rules; see
 // DESIGN.md §3 for the soundness argument):
 //   * the image assignment is injective and maps only allowed vertices,
-//     each on its parity-pin side (BagContext::allowed_for);
+//     each on its parity-pin side (BagView::allowed_for);
 //   * every pattern edge with both endpoints mapped joins adjacent bag
 //     vertices (realization);
 //   * no pattern edge joins a C vertex with a U vertex (a forgotten image
@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -147,12 +148,15 @@ struct ParityPin {
   bool operator==(const ParityPin&) const = default;
 };
 
-/// Precomputed per-node data: the bag, its induced adjacency as bitmasks,
-/// and the separating metadata (allowed vertices, S membership, and the
-/// parity pin every engine applies wherever it reads `allowed_mask`).
-struct BagContext {
-  std::vector<Vertex> vertices;     ///< sorted bag vertices (positions)
-  std::vector<std::uint64_t> gadj;  ///< gadj[p] = positions adjacent to p
+/// What the DP kernels read of one decomposition node: its sorted bag,
+/// the bag's induced adjacency as bitmasks, and the separating metadata
+/// (allowed vertices, S membership, and the run's parity pin, which every
+/// engine applies wherever it reads `allowed_mask`). A view: the arrays
+/// live in a DpPlan (isomorphism/dp_plan.hpp) or in a BagContext, and the
+/// pin is the solve's.
+struct BagView {
+  std::span<const Vertex> vertices;  ///< sorted bag vertices (positions)
+  const std::uint64_t* gadj = nullptr;  ///< gadj[p] = positions adjacent to p
   std::uint64_t allowed_mask = 0;   ///< positions usable as images
   std::uint64_t s_mask = 0;         ///< positions whose vertex is in S
   std::uint64_t all_mask = 0;       ///< (1 << size) - 1
@@ -169,6 +173,26 @@ struct BagContext {
     if ((pin.in_s >> v) & 1u) return allowed_mask & s_mask;
     if ((pin.out_s >> v) & 1u) return allowed_mask & ~s_mask;
     return allowed_mask;
+  }
+};
+
+/// A bag context that owns its arrays: one node's data built on its own
+/// (make_bag_context) rather than as part of a DpPlan. Tests, benches and
+/// the plan's reference checks use it; it converts to the BagView the
+/// kernels read.
+struct BagContext {
+  std::vector<Vertex> vertices;     ///< sorted bag vertices (positions)
+  std::vector<std::uint64_t> gadj;  ///< gadj[p] = positions adjacent to p
+  std::uint64_t allowed_mask = 0;
+  std::uint64_t s_mask = 0;
+  std::uint64_t all_mask = 0;
+  ParityPin pin;
+
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(vertices.size());
+  }
+  operator BagView() const {
+    return {vertices, gadj.data(), allowed_mask, s_mask, all_mask, pin};
   }
 };
 
@@ -195,10 +219,29 @@ struct SeparatingSpec {
 ParityPin parity_pin(const Graph& g, const SeparatingSpec& spec,
                      const Pattern& pattern);
 
+/// The target half of parity_pin: the spec is enabled and every edge of
+/// `g` between two allowed vertices joins S to non-S. O(|E|); a DpPlan
+/// records it once per slice.
+bool allowed_edges_alternate(const Graph& g, const SeparatingSpec& spec);
+
+/// The pattern half of parity_pin, O(k): the pin of an even-cycle pattern
+/// when `alternating` (allowed_edges_alternate of the target), else empty.
+ParityPin parity_pin(const Pattern& pattern, bool alternating);
+
 /// Bag context of `bag` in `g`; `pin` is stored as is (engines pass
 /// parity_pin of the run, which is empty outside separating mode).
 BagContext make_bag_context(const Graph& g, std::vector<Vertex> bag,
                             const SeparatingSpec& spec, ParityPin pin = {});
+
+namespace detail {
+
+/// The core of make_bag_context and of DpPlan: writes G[bag]'s adjacency
+/// over the positions of the sorted `bag` into gadj[0, bag.size()) and
+/// returns the view of it (empty pin). Throws for bags over 56 vertices.
+BagView fill_bag(const Graph& g, std::span<const Vertex> bag,
+                 const SeparatingSpec& spec, std::uint64_t* gadj);
+
+}  // namespace detail
 
 // ---- Local enumeration and checks ----
 
@@ -211,7 +254,7 @@ struct ComponentScan {
 };
 
 /// Connected components of `unmapped` in G[bag].
-inline ComponentScan unmapped_components(const BagContext& ctx,
+inline ComponentScan unmapped_components(const BagView& ctx,
                                          std::uint64_t unmapped) {
   ComponentScan scan;
   std::uint64_t todo = unmapped;
@@ -246,7 +289,7 @@ namespace detail {
 template <class Emit>
 struct Enumerator {
   const Pattern& pattern;
-  const BagContext& ctx;
+  const BagView& ctx;
   const StateCodec& codec;
   bool separating;
   Emit& emit;
@@ -335,7 +378,7 @@ struct Enumerator {
 /// callable taking StateKey) so the per-state dispatch inlines; passing a
 /// std::function still works where type erasure is wanted.
 template <class Emit>
-void enumerate_local_states(const Pattern& pattern, const BagContext& ctx,
+void enumerate_local_states(const Pattern& pattern, const BagView& ctx,
                             const StateCodec& codec, bool separating,
                             Emit&& emit) {
   detail::Enumerator<std::remove_reference_t<Emit>> e{pattern, ctx, codec,
@@ -345,12 +388,12 @@ void enumerate_local_states(const Pattern& pattern, const BagContext& ctx,
 
 /// Full local-validity check of an arbitrary key (used by tests and as a
 /// defensive cross-check; enumeration only produces valid keys).
-bool locally_valid(const Pattern& pattern, const BagContext& ctx,
+bool locally_valid(const Pattern& pattern, const BagView& ctx,
                    const StateCodec& codec, bool separating, StateKey key);
 
 /// Local S contributions of a state: li = some S vertex of the bag is
 /// unmapped and labeled inside; lo = ... outside.
-void local_sep_bits(const BagContext& ctx, const StateCodec& codec,
+void local_sep_bits(const BagView& ctx, const StateCodec& codec,
                     StateKey key, bool* li, bool* lo);
 
 // ---- Projections ----
@@ -371,30 +414,32 @@ void local_sep_bits(const BagContext& ctx, const StateCodec& codec,
 std::optional<StateKey> project_to_parent(StateKey child_state,
                                           const StateCodec& codec,
                                           const Pattern& pattern,
-                                          const BagContext& child_ctx,
-                                          const BagContext& parent_ctx);
+                                          const BagView& child_ctx,
+                                          const BagView& parent_ctx);
 
 /// Child-bag position -> parent-bag position table (-1 when the child
 /// vertex is not in the parent bag). Built once per (child, parent) node
 /// pair so batch projections replace the per-vertex binary search of
-/// BagContext::position_of with one table load.
+/// BagView::position_of with one table load. A DpPlan stores the same
+/// table per node (DpPlan::to_parent).
 struct PositionMap {
   std::array<std::int8_t, kSepInsideBits> to_parent;
 };
 
-PositionMap make_position_map(const BagContext& child_ctx,
-                              const BagContext& parent_ctx);
+PositionMap make_position_map(const BagView& child_ctx,
+                              const BagView& parent_ctx);
 
-/// project_to_parent with a precomputed PositionMap and the decoded view
+/// project_to_parent with a precomputed position table (`to_parent[q]` is
+/// the parent position of child position q, or -1) and the decoded view
 /// of `child_state.code` (`child_view` must equal view_of of it).
-/// Bit-identical to the BagContext overload; only mapped fields and set
+/// Bit-identical to the BagView overload; only mapped fields and set
 /// label bits are walked.
 std::optional<StateKey> project_to_parent(StateKey child_state,
                                           const StateView& child_view,
                                           const StateCodec& codec,
                                           const Pattern& pattern,
-                                          const BagContext& child_ctx,
-                                          const PositionMap& pos_map);
+                                          const BagView& child_ctx,
+                                          const std::int8_t* to_parent);
 
 /// The signature a child must have for `parent_state` to be supported,
 /// given that the pattern vertices in `child_c_mask` (a subset of the
@@ -402,7 +447,7 @@ std::optional<StateKey> project_to_parent(StateKey child_state,
 /// subtree bits are (iy, oy). `shared_mask` marks the parent bag positions
 /// whose vertex also lies in the child's bag.
 StateKey required_signature(StateKey parent_state, const StateCodec& codec,
-                            const BagContext& parent_ctx,
+                            const BagView& parent_ctx,
                             std::uint64_t shared_mask,
                             std::uint32_t child_c_mask, bool iy, bool oy);
 
@@ -428,11 +473,11 @@ inline std::uint64_t spread_c_fields(const StateCodec& codec,
 /// which lets for_each_support_combo derive both child signatures per
 /// combo with a popcount walk instead of two full k-field rebuilds.
 StateKey combo_base_signature(StateKey parent_state, const StateCodec& codec,
-                              const BagContext& parent_ctx,
+                              const BagView& parent_ctx,
                               std::uint64_t shared_mask);
 
 /// Parent-bag position mask of vertices shared with the child bag.
-std::uint64_t shared_position_mask(const BagContext& parent_ctx,
-                                   const BagContext& child_ctx);
+std::uint64_t shared_position_mask(const BagView& parent_ctx,
+                                   const BagView& child_ctx);
 
 }  // namespace ppsi::iso

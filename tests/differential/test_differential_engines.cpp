@@ -63,7 +63,7 @@ TEST_P(EngineEquivalence, ParallelAndSparseMatchSequential) {
 
   expect_identical_solutions(seq, sparse, td, context + " [sparse]");
   // The sparse engine builds its signature groups as it discovers states.
-  testing::expect_reference_sig_groups(sparse, td, pattern,
+  testing::expect_reference_sig_groups(sparse, pattern,
                                        context + " [sparse]");
   expect_identical_solutions(seq, par, td, context + " [parallel]");
 

@@ -124,7 +124,8 @@ TEST(KernelProjection, PositionMapMatchesBinarySearchOverload) {
                                                inst.ctxs[x], inst.ctxs[parent]);
           const auto mapped =
               project_to_parent(s, view_of(inst.codec, s.code), inst.codec,
-                                inst.pattern, inst.ctxs[x], pos_map);
+                                inst.pattern, inst.ctxs[x],
+                                pos_map.to_parent.data());
           ASSERT_EQ(plain.has_value(), mapped.has_value())
               << "seed " << seed << " sep " << separating << " node " << x;
           if (plain.has_value()) {

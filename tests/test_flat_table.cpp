@@ -130,9 +130,10 @@ std::vector<std::pair<StateKey, std::uint32_t>> sample_pairs() {
 }
 
 TEST(SigIndex, GroupsAndLookups) {
+  iso::NodeStore store;
   auto pairs = sample_pairs();
   SigIndex index;
-  index.build(pairs);
+  index.build(pairs, store);
   EXPECT_EQ(index.size(), 4u);
   EXPECT_TRUE(index.contains(StateKey{5, 0}));
   const auto g5 = index.group(StateKey{5, 0});
@@ -150,6 +151,7 @@ TEST(SigIndex, GroupsAndLookups) {
 }
 
 TEST(SigIndex, AbsentAndEmptyLookups) {
+  iso::NodeStore store;
   SigIndex empty;
   EXPECT_TRUE(empty.empty());
   EXPECT_FALSE(empty.contains(StateKey{1, 0}));
@@ -157,29 +159,30 @@ TEST(SigIndex, AbsentAndEmptyLookups) {
 
   auto pairs = sample_pairs();
   SigIndex index;
-  index.build(pairs);
+  index.build(pairs, store);
   EXPECT_FALSE(index.contains(StateKey{4, 0}));
   EXPECT_TRUE(index.group(StateKey{4, 0}).empty());
   EXPECT_FALSE(index.contains(StateKey{5, 1}));
 
   std::vector<std::pair<StateKey, std::uint32_t>> none;
   SigIndex rebuilt;
-  rebuilt.build(none);
+  rebuilt.build(none, store);
   EXPECT_EQ(rebuilt.size(), 0u);
   EXPECT_TRUE(rebuilt.group(StateKey{5, 0}).empty());
 }
 
 TEST(SigIndex, InputOrderIndependence) {
+  iso::NodeStore store;
   auto pairs = sample_pairs();
   SigIndex reference;
-  reference.build(pairs);
+  reference.build(pairs, store);
   support::Rng rng(17);
   for (int trial = 0; trial < 20; ++trial) {
     auto shuffled = sample_pairs();
     for (std::size_t i = shuffled.size(); i > 1; --i)
       std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
     SigIndex index;
-    index.build(shuffled);
+    index.build(shuffled, store);
     ASSERT_TRUE(std::ranges::equal(index.sigs(), reference.sigs()));
     for (std::size_t s = 0; s < index.size(); ++s) {
       const auto got = index.group_at(s);
@@ -192,9 +195,10 @@ TEST(SigIndex, InputOrderIndependence) {
 }
 
 TEST(SigIndex, SigsAreSorted) {
+  iso::NodeStore store;
   auto pairs = sample_pairs();
   SigIndex index;
-  index.build(pairs);
+  index.build(pairs, store);
   EXPECT_TRUE(std::is_sorted(index.sigs().begin(), index.sigs().end()));
 }
 

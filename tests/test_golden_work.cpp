@@ -41,62 +41,15 @@
 #include "isomorphism/sparse_dp.hpp"
 #include "support/rng.hpp"
 #include "testing/dp_checks.hpp"
-#include "testing/random_inputs.hpp"
+#include "testing/golden_cases.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
 namespace ppsi::iso {
 namespace {
 
-/// How the separating spec of a case marks S (every vertex is allowed).
-enum class Mode { kBase, kSepEvery2, kSepEvery3 };
-
-struct Case {
-  std::string name;
-  Graph g;
-  Pattern pattern;
-  Mode mode;
-};
-
-std::vector<Case> cases() {
-  std::vector<Case> out;
-  const auto from = [](const Graph& p) { return Pattern::from_graph(p); };
-  out.push_back({"grid6x6/C4", gen::grid_graph(6, 6),
-                 from(gen::cycle_graph(4)), Mode::kBase});
-  out.push_back({"grid6x6/C5", gen::grid_graph(6, 6),
-                 from(gen::cycle_graph(5)), Mode::kBase});
-  out.push_back({"grid5x5/P3/sep", gen::grid_graph(5, 5),
-                 from(gen::path_graph(3)), Mode::kSepEvery3});
-  out.push_back({"grid4x5/C4/sep", gen::grid_graph(4, 5),
-                 from(gen::cycle_graph(4)), Mode::kSepEvery2});
-  out.push_back({"apollonian30/C4", gen::apollonian(30, 7).graph(),
-                 from(gen::cycle_graph(4)), Mode::kBase});
-  out.push_back({"apollonian30/K4", gen::apollonian(30, 7).graph(),
-                 from(gen::complete_graph(4)), Mode::kBase});
-  out.push_back({"apollonian20/C3/sep", gen::apollonian(20, 3).graph(),
-                 from(gen::cycle_graph(3)), Mode::kSepEvery2});
-  for (const std::uint64_t seed : {3u, 11u, 29u, 42u}) {
-    out.push_back({"random" + std::to_string(seed),
-                   testing::random_target(seed),
-                   testing::random_pattern(seed), Mode::kBase});
-  }
-  for (const std::uint64_t seed : {5u, 17u}) {
-    out.push_back({"random" + std::to_string(seed) + "/sep",
-                   testing::random_target(seed),
-                   testing::random_pattern(seed, 2, 3), Mode::kSepEvery3});
-  }
-  return out;
-}
-
-SeparatingSpec spec_for(const Case& c) {
-  if (c.mode == Mode::kBase) return SeparatingSpec::disabled();
-  const Vertex stride = c.mode == Mode::kSepEvery2 ? 2 : 3;
-  SeparatingSpec spec;
-  spec.enabled = true;
-  spec.in_s.assign(c.g.num_vertices(), 0);
-  for (Vertex v = 0; v < c.g.num_vertices(); v += stride) spec.in_s[v] = 1;
-  spec.allowed.assign(c.g.num_vertices(), 1);
-  return spec;
-}
+using testing::Case;
+using testing::cases;
+using testing::spec_for;
 
 struct EngineFigures {
   std::uint64_t work = 0;
@@ -220,7 +173,7 @@ TEST(GoldenWork, EnginesReproduceRecordedFigures) {
     EXPECT_EQ(par.accepting.size(), want.accepting) << c.name;
     EXPECT_EQ(sparse.accepting.size(), want.accepting) << c.name;
     EXPECT_EQ(state_order(sparse), want.sparse_order) << c.name;
-    testing::expect_reference_sig_groups(sparse, td, c.pattern, c.name);
+    testing::expect_reference_sig_groups(sparse, c.pattern, c.name);
   }
 }
 

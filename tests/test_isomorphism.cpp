@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -12,11 +14,13 @@
 
 #include "baseline/ullmann.hpp"
 #include "graph/generators.hpp"
+#include "isomorphism/dp_plan.hpp"
 #include "isomorphism/parallel_engine.hpp"
 #include "isomorphism/pattern.hpp"
 #include "isomorphism/sequential_dp.hpp"
 #include "isomorphism/sparse_dp.hpp"
 #include "testing/dp_checks.hpp"
+#include "testing/golden_cases.hpp"
 #include "testing/witness_checks.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
@@ -360,40 +364,119 @@ TEST(Shortcuts, DoNotChangeValidStates) {
   EXPECT_LT(s1.bfs_rounds, s2.bfs_rounds);
 }
 
-// ---- Shared setup ----
+// ---- DpPlan ----
 
-// Every engine starts from detail::prepare_solution, which writes each
-// non-root node's shared-position mask before any node is solved. So the
-// mask holds for every node afterwards, also for the parallel engine's
-// interior path nodes when solved nodes are released.
-TEST(DpSetup, EveryNonRootNodeCarriesItsSharedPositionMask) {
-  const Engine parallel = [](const Graph& g,
-                             const treedecomp::TreeDecomposition& td,
-                             const Pattern& pattern,
-                             const DpOptions& options) {
-    ParallelOptions par;
-    static_cast<DpOptions&>(par) = options;
-    return solve_parallel(g, td, pattern, par);
+// A plan holds what every solve over a slice reads besides the pattern.
+// Each piece must equal what the reference helpers compute from the
+// source decomposition, node by node.
+TEST(DpPlan, MatchesTheReferenceHelpersOnTheGoldenFixtures) {
+  for (const testing::Case& c : testing::cases()) {
+    const auto td = decomposition_of(c.g);
+    const SeparatingSpec spec = testing::spec_for(c);
+    const DpPlan plan(c.g, td, spec);
+    ASSERT_EQ(plan.num_nodes(), td.num_nodes()) << c.name;
+    EXPECT_EQ(plan.root(), td.root) << c.name;
+    EXPECT_TRUE(std::ranges::equal(plan.bottom_up(),
+                                   treedecomp::bottom_up_order(td)))
+        << c.name;
+    EXPECT_EQ(plan.separating(), spec.enabled) << c.name;
+    EXPECT_EQ(plan.alternating(), allowed_edges_alternate(c.g, spec))
+        << c.name;
+    std::vector<BagContext> ref;
+    std::size_t widest = 1;
+    for (const auto& bag : td.bags) {
+      ref.push_back(make_bag_context(c.g, bag, spec));
+      widest = std::max(widest, bag.size());
+    }
+    EXPECT_EQ(plan.max_bag(), widest) << c.name;
+    for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x) {
+      const std::string at = c.name + " node " + std::to_string(x);
+      const BagView got = plan.context(x);
+      const BagContext& want = ref[x];
+      ASSERT_TRUE(std::ranges::equal(got.vertices, want.vertices)) << at;
+      ASSERT_TRUE(std::equal(want.gadj.begin(), want.gadj.end(), got.gadj))
+          << at;
+      EXPECT_EQ(got.allowed_mask, want.allowed_mask) << at;
+      EXPECT_EQ(got.s_mask, want.s_mask) << at;
+      EXPECT_EQ(got.all_mask, want.all_mask) << at;
+      EXPECT_EQ(got.pin, ParityPin{}) << at;
+      EXPECT_EQ(plan.parent(x), td.parent[x]) << at;
+      EXPECT_TRUE(std::ranges::equal(plan.children(x), td.children[x])) << at;
+      const treedecomp::NodeId parent = td.parent[x];
+      if (parent == treedecomp::kNoNode) {
+        EXPECT_EQ(plan.shared_with_parent(x), 0u) << at;
+        continue;
+      }
+      EXPECT_EQ(plan.shared_with_parent(x),
+                shared_position_mask(ref[parent], want))
+          << at;
+      const PositionMap map = make_position_map(want, ref[parent]);
+      EXPECT_TRUE(std::equal(plan.to_parent(x),
+                             plan.to_parent(x) + want.size(),
+                             map.to_parent.begin()))
+          << at;
+    }
+  }
+}
+
+using PlanEngine = DpSolution (*)(const std::shared_ptr<const DpPlan>&,
+                                  const Pattern&, const DpOptions&);
+
+DpSolution parallel_over_td(const Graph& g,
+                            const treedecomp::TreeDecomposition& td,
+                            const Pattern& pattern, const DpOptions& options) {
+  ParallelOptions par;
+  static_cast<DpOptions&>(par) = options;
+  return solve_parallel(g, td, pattern, par);
+}
+
+DpSolution parallel_over_plan(const std::shared_ptr<const DpPlan>& plan,
+                              const Pattern& pattern,
+                              const DpOptions& options) {
+  ParallelOptions par;
+  static_cast<DpOptions&>(par) = options;
+  return solve_parallel(plan, pattern, par);
+}
+
+// The Solver caches one plan per slice and solves every pattern over it.
+// One plan reused for two patterns must give each pattern what a solve
+// over its own decomposition gives: the same states in the same order,
+// signature groups, accepting states, work and rounds, on every engine
+// and with interior release on and off.
+TEST(DpPlan, OnePlanServesTwoPatternsOnEveryEngine) {
+  const std::pair<PlanEngine, Engine> engines[] = {
+      {&solve_sequential, &solve_sequential},
+      {&solve_sparse, &solve_sparse},
+      {&parallel_over_plan, &parallel_over_td},
   };
-  const std::pair<Graph, Pattern> cases[] = {
-      {gen::path_graph(40), Pattern::from_graph(gen::path_graph(3))},
-      {gen::grid_graph(4, 5), Pattern::from_graph(gen::cycle_graph(4))},
-  };
-  for (const auto& [g, pattern] : cases) {
-    const auto td = decomposition_of(g);
-    for (const Engine engine : {&solve_sequential, &solve_sparse, parallel}) {
+  const Pattern other = Pattern::from_graph(gen::path_graph(3));
+  for (const testing::Case& c : testing::cases()) {
+    const auto td = decomposition_of(c.g);
+    DpOptions options;
+    options.spec = testing::spec_for(c);
+    const auto plan = std::make_shared<const DpPlan>(c.g, td, options.spec);
+    for (const auto& [over_plan, over_td] : engines) {
       for (const bool release : {false, true}) {
-        DpOptions options;
         options.release_interior = release;
-        const DpSolution sol = engine(g, td, pattern, options);
-        for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x) {
-          const treedecomp::NodeId parent = td.parent[x];
-          if (parent == treedecomp::kNoNode) continue;
-          EXPECT_EQ(sol.nodes[x].shared_with_parent,
-                    shared_position_mask(sol.nodes[parent].ctx,
-                                         sol.nodes[x].ctx))
-              << "n " << g.num_vertices() << " release " << release
-              << " node " << x;
+        for (const Pattern* pattern : {&c.pattern, &other}) {
+          const std::string at = c.name + " k " +
+                                 std::to_string(pattern->size()) +
+                                 " release " + std::to_string(release);
+          const DpSolution got = over_plan(plan, *pattern, options);
+          const DpSolution want = over_td(c.g, td, *pattern, options);
+          EXPECT_EQ(got.plan, plan) << at;
+          EXPECT_EQ(got.metrics.work(), want.metrics.work()) << at;
+          EXPECT_EQ(got.metrics.rounds(), want.metrics.rounds()) << at;
+          EXPECT_EQ(got.accepting, want.accepting) << at;
+          ASSERT_EQ(got.nodes.size(), want.nodes.size()) << at;
+          for (std::size_t x = 0; x < want.nodes.size(); ++x) {
+            const std::string node = at + " node " + std::to_string(x);
+            ASSERT_TRUE(std::ranges::equal(got.nodes[x].states,
+                                           want.nodes[x].states))
+                << node;
+            testing::expect_same_sig_groups(got.nodes[x], want.nodes[x],
+                                            node);
+          }
         }
       }
     }
@@ -487,7 +570,8 @@ TEST(ScratchReuse, SmallSolveAfterLargeMatchesAFreshThread) {
   const Pattern path3 = Pattern::from_graph(gen::path_graph(3));
   const auto large_td = decomposition_of(large);
   const auto small_td = decomposition_of(small);
-  for (const Engine engine : {&solve_sparse, &solve_sequential}) {
+  for (const Engine engine : std::initializer_list<Engine>{
+           &solve_sparse, &solve_sequential}) {
     for (const bool release : {false, true}) {
       DpOptions large_options;
       large_options.spec = colour_class_spec(6, 6);
@@ -498,7 +582,8 @@ TEST(ScratchReuse, SmallSolveAfterLargeMatchesAFreshThread) {
       engine(large, large_td, cycle6, large_options);
       // The sparse engine's scratch dedup set must not carry the thrown
       // node's states into the next solve.
-      if (engine == &solve_sparse) throw_mid_node(engine);
+      if (engine == static_cast<Engine>(&solve_sparse))
+        throw_mid_node(engine);
       const DpSolution reused = engine(small, small_td, path3, small_options);
       DpSolution fresh;
       std::thread([&] {
@@ -508,7 +593,9 @@ TEST(ScratchReuse, SmallSolveAfterLargeMatchesAFreshThread) {
       for (std::size_t x = 0; x < fresh.nodes.size(); ++x) {
         const std::string context =
             "node " + std::to_string(x) + " release " + std::to_string(release);
-        EXPECT_EQ(reused.nodes[x].states, fresh.nodes[x].states) << context;
+        EXPECT_TRUE(std::ranges::equal(reused.nodes[x].states,
+                                       fresh.nodes[x].states))
+            << context;
         testing::expect_same_sig_groups(reused.nodes[x], fresh.nodes[x],
                                         context);
       }

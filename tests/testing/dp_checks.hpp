@@ -14,11 +14,10 @@
 namespace ppsi::testing {
 
 /// Expects equal signature groups (signatures, then each group's state
-/// indices) and equal shared_with_parent masks.
+/// indices).
 inline void expect_same_sig_groups(const iso::SolvedNode& got,
                                    const iso::SolvedNode& want,
                                    const std::string& context) {
-  EXPECT_EQ(got.shared_with_parent, want.shared_with_parent) << context;
   ASSERT_TRUE(std::ranges::equal(got.sig_groups.sigs(),
                                  want.sig_groups.sigs()))
       << context;
@@ -33,13 +32,15 @@ inline void expect_same_sig_groups(const iso::SolvedNode& got,
 /// to carry the signature groups that detail::build_sig_groups recomputes
 /// from the node's states. The sparse engine builds them while it
 /// discovers the states; the other engines call build_sig_groups itself.
-inline void expect_reference_sig_groups(
-    const iso::DpSolution& sol, const treedecomp::TreeDecomposition& td,
-    const iso::Pattern& pattern, const std::string& context) {
-  iso::DpSolution rebuilt = sol;
-  for (treedecomp::NodeId x = 0; x < td.num_nodes(); ++x) {
-    if (x == td.root) continue;
-    iso::detail::build_sig_groups(td, pattern, x, rebuilt);
+inline void expect_reference_sig_groups(const iso::DpSolution& sol,
+                                        const iso::Pattern& pattern,
+                                        const std::string& context) {
+  iso::DpSolution rebuilt =
+      iso::detail::prepare_solution(sol.plan, pattern, false);
+  for (treedecomp::NodeId x = 0; x < sol.nodes.size(); ++x) {
+    if (x == sol.plan->root()) continue;
+    rebuilt.nodes[x].states = sol.nodes[x].states;
+    iso::detail::build_sig_groups(pattern, x, rebuilt);
     expect_same_sig_groups(sol.nodes[x], rebuilt.nodes[x],
                            context + " node " + std::to_string(x));
   }

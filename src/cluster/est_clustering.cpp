@@ -68,7 +68,11 @@ Clustering est_clustering(const Graph& g, double beta, std::uint64_t seed,
 
   std::vector<std::uint64_t> key(n, kUnclaimedKey);
   std::vector<std::uint32_t> claimed_round(n, kUnclaimedRound);
+  // listed_round[v] == r once v joined round r's next frontier, so the
+  // gather below lists each winner once without sorting its candidates.
+  std::vector<std::uint32_t> listed_round(n, kUnclaimedRound);
   std::vector<Vertex> frontier;
+  std::vector<Vertex> next;
   std::uint64_t work = 0;
   std::uint64_t claimed_total = 0;
   std::uint32_t round = 0;
@@ -84,13 +88,12 @@ Clustering est_clustering(const Graph& g, double beta, std::uint64_t seed,
     }
     // Phase 2: the previous round's winners propose to their neighbors.
     // (A proposal has priority exactly one more than its proposer, so its
-    // fractional part — and hence the key — is unchanged.)
+    // fractional part — and hence the key — is unchanged.) Keys settle by
+    // an atomic min, so the outcome does not depend on frontier order.
     support::parallel_for(0, frontier.size(), [&](std::size_t i) {
       const Vertex u = frontier[i];
       const std::uint64_t ku = key[u];
       for (Vertex w : g.neighbors(u)) {
-        std::atomic_ref<std::uint64_t> wslot(work);
-        wslot.fetch_add(1, std::memory_order_relaxed);
         std::atomic_ref<std::uint32_t> cr(claimed_round[w]);
         const std::uint32_t rw = cr.load(std::memory_order_relaxed);
         if (rw < round) continue;  // claimed in an earlier round
@@ -98,20 +101,19 @@ Clustering est_clustering(const Graph& g, double beta, std::uint64_t seed,
         cr.store(round, std::memory_order_relaxed);
       }
     });
-    // Phase 3: gather this round's winners as the next frontier.
-    std::vector<Vertex> candidates;
+    // Phase 3: gather this round's winners as the next frontier, and count
+    // Phase 2's work (one unit per proposal) in the same serial pass.
+    next.clear();
+    const auto list = [&](Vertex v) {
+      if (claimed_round[v] != round || listed_round[v] == round) return;
+      listed_round[v] = round;
+      next.push_back(v);
+    };
     if (round <= max_round)
-      candidates.insert(candidates.end(), starters[round].begin(),
-                        starters[round].end());
-    for (Vertex u : frontier)
-      for (Vertex w : g.neighbors(u)) candidates.push_back(w);
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    std::vector<Vertex> next;
-    next.reserve(candidates.size());
-    for (Vertex v : candidates) {
-      if (claimed_round[v] == round) next.push_back(v);
+      for (Vertex v : starters[round]) list(v);
+    for (Vertex u : frontier) {
+      work += g.degree(u);
+      for (Vertex w : g.neighbors(u)) list(w);
     }
     claimed_total += next.size();
     frontier.swap(next);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <omp.h>
 #include <queue>
+#include <span>
 
 #include "cluster/parallel_bfs.hpp"
 #include "support/parallel.hpp"
@@ -14,39 +15,31 @@ namespace {
 
 /// Per-cluster data shared by both cover variants.
 struct ClusterWork {
-  std::vector<Vertex> members;        // original ids
+  std::span<const Vertex> members;    // original ids, ascending
   std::vector<std::uint32_t> level;   // BFS level per member (local index)
   std::uint32_t max_level = 0;
   Graph subgraph;                     // induced on members (local ids)
 };
 
+/// `pos` is a position map over g (all kNoVertex on entry and return).
 ClusterWork build_cluster_work(const Graph& g,
                                const cluster::Clustering& clustering,
-                               Vertex c, std::vector<Vertex>& local_scratch) {
+                               Vertex c, std::vector<Vertex>& pos) {
   ClusterWork work;
-  const std::uint32_t begin = clustering.offsets[c];
-  const std::uint32_t end = clustering.offsets[c + 1];
-  work.members.assign(clustering.members.begin() + begin,
-                      clustering.members.begin() + end);
-  for (std::size_t i = 0; i < work.members.size(); ++i)
-    local_scratch[work.members[i]] = static_cast<Vertex>(i);
-  EdgeList edges;
-  for (std::size_t i = 0; i < work.members.size(); ++i) {
-    for (Vertex w : g.neighbors(work.members[i])) {
-      if (clustering.cluster_of[w] != c) continue;
-      const Vertex j = local_scratch[w];
-      if (j > i) edges.emplace_back(static_cast<Vertex>(i), j);
-    }
-  }
-  work.subgraph =
-      Graph::from_edges(static_cast<Vertex>(work.members.size()), edges);
+  // Members are grouped in vertex order, so the subgraph's adjacency needs
+  // no sort when g's is sorted.
+  work.members = std::span<const Vertex>(clustering.members)
+                     .subspan(clustering.offsets[c],
+                              clustering.offsets[c + 1] - clustering.offsets[c]);
+  work.subgraph = induced_graph(g, work.members, pos);
   // BFS from the cluster center (clusters are connected by construction).
-  const Vertex root = local_scratch[clustering.center_of[c]];
-  const cluster::BfsResult bfs = cluster::parallel_bfs(work.subgraph, root);
-  work.level.assign(bfs.dist.begin(), bfs.dist.end());
+  const auto root = static_cast<Vertex>(
+      std::lower_bound(work.members.begin(), work.members.end(),
+                       clustering.center_of[c]) -
+      work.members.begin());
+  work.level = cluster::parallel_bfs(work.subgraph, root).dist;
   for (std::uint32_t lv : work.level)
     if (lv != cluster::kUnreached) work.max_level = std::max(work.max_level, lv);
-  for (Vertex v : work.members) local_scratch[v] = kNoVertex;
   return work;
 }
 
@@ -64,34 +57,35 @@ Cover build_kd_cover(const Graph& g, std::uint32_t d, double beta,
   const cluster::Clustering clustering =
       cluster::est_clustering(g, beta, seed, &cover.metrics);
   cover.num_clusters = clustering.count;
+  // One position map over g serves the cluster subgraphs and, since a
+  // cluster has at most n vertices, their window slices too.
   std::vector<Vertex> scratch(g.num_vertices(), kNoVertex);
+  std::vector<Vertex> local_ids;
   for (Vertex c = 0; c < clustering.count; ++c) {
     const ClusterWork work = build_cluster_work(g, clustering, c, scratch);
     cover.num_bfs_levels = std::max(cover.num_bfs_levels, work.max_level + 1);
     const std::uint32_t last = last_window_start(work.max_level, d);
     for (std::uint32_t i = 0; i <= last; ++i) {
-      // Slice: members with level in [i, i+d].
-      std::vector<Vertex> local_ids;
+      // Slice: members with level in [i, i+d], ascending, so reading the
+      // sorted cluster subgraph needs no sort.
+      local_ids.clear();
       for (Vertex v = 0; v < work.members.size(); ++v) {
         if (work.level[v] >= i && work.level[v] <= i + d)
           local_ids.push_back(v);
       }
       if (local_ids.size() < min_size) continue;
-      DerivedGraph sub = induced_subgraph(work.subgraph, local_ids);
       Slice slice;
+      slice.graph = induced_graph(work.subgraph, local_ids, scratch);
       slice.origin_of.resize(local_ids.size());
       slice.is_original.assign(local_ids.size(), 1);
-      Vertex root_local = 0;
       std::uint32_t best_level = 0xffffffffu;
       for (std::size_t j = 0; j < local_ids.size(); ++j) {
         slice.origin_of[j] = work.members[local_ids[j]];
         if (work.level[local_ids[j]] < best_level) {
           best_level = work.level[local_ids[j]];
-          root_local = static_cast<Vertex>(j);
+          slice.bfs_root = static_cast<Vertex>(j);
         }
       }
-      slice.bfs_root = root_local;
-      slice.graph = std::move(sub.graph);
       cover.slices.push_back(std::move(slice));
     }
     cover.metrics.add_work(
@@ -149,7 +143,7 @@ Cover build_separating_cover(const Graph& g,
       }
     }
 
-    // local index of members (again; build_cluster_work cleared it).
+    // Local index of members (build_cluster_work leaves the map clear).
     for (std::size_t i = 0; i < work.members.size(); ++i)
       scratch[work.members[i]] = static_cast<Vertex>(i);
 

@@ -60,6 +60,10 @@ class Graph {
   std::uint32_t max_degree() const;
 
  private:
+  // Writes its CSR arrays directly (graph/ops.hpp).
+  friend Graph induced_graph(const Graph& g, std::span<const Vertex> vertices,
+                             std::span<Vertex> pos);
+
   Vertex n_ = 0;
   bool sorted_ = true;
   std::vector<std::uint32_t> offsets_;  // size n_ + 1

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <stdexcept>
 
 #include "support/parallel.hpp"
 
@@ -9,25 +10,52 @@ namespace ppsi {
 
 DerivedGraph induced_subgraph(const Graph& g,
                               const std::vector<Vertex>& vertices) {
+  std::vector<Vertex> pos(g.num_vertices(), kNoVertex);
   DerivedGraph out;
+  out.graph = induced_graph(g, vertices, pos);
   out.origin_of = vertices;
-  std::vector<Vertex> local(g.num_vertices(), kNoVertex);
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    support::require(vertices[i] < g.num_vertices(),
-                     "induced_subgraph: vertex out of range");
-    support::require(local[vertices[i]] == kNoVertex,
-                     "induced_subgraph: duplicate vertex");
-    local[vertices[i]] = static_cast<Vertex>(i);
-  }
-  EdgeList edges;
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    const Vertex u = vertices[i];
-    for (Vertex w : g.neighbors(u)) {
-      const Vertex j = local[w];
-      if (j != kNoVertex && j > i) edges.emplace_back(static_cast<Vertex>(i), j);
+  return out;
+}
+
+Graph induced_graph(const Graph& g, std::span<const Vertex> vertices,
+                    std::span<Vertex> pos) {
+  support::require(pos.size() >= g.num_vertices(),
+                   "induced_graph: position map too small");
+  const auto n = static_cast<Vertex>(vertices.size());
+  bool ascending = true;
+  for (Vertex i = 0; i < n; ++i) {
+    const Vertex v = vertices[i];
+    const bool in_range = v < g.num_vertices();
+    if (!in_range || pos[v] != kNoVertex) {
+      for (Vertex j = 0; j < i; ++j) pos[vertices[j]] = kNoVertex;
+      throw std::invalid_argument(in_range
+                                      ? "induced_subgraph: duplicate vertex"
+                                      : "induced_subgraph: vertex out of range");
     }
+    pos[v] = i;
+    ascending = ascending && (i == 0 || vertices[i - 1] < v);
   }
-  out.graph = Graph::from_edges(static_cast<Vertex>(vertices.size()), edges);
+  Graph out;
+  out.n_ = n;
+  out.offsets_.resize(static_cast<std::size_t>(n) + 1);
+  std::uint32_t total = 0;
+  for (Vertex i = 0; i < n; ++i) {
+    out.offsets_[i] = total;
+    for (Vertex w : g.neighbors(vertices[i])) total += pos[w] != kNoVertex;
+  }
+  out.offsets_[n] = total;
+  out.adj_.resize(total);
+  for (Vertex i = 0; i < n; ++i) {
+    Vertex* dst = out.adj_.data() + out.offsets_[i];
+    for (Vertex w : g.neighbors(vertices[i]))
+      if (pos[w] != kNoVertex) *dst++ = pos[w];
+  }
+  // Positions rise with the vertex ids, so sorted source lists stay sorted.
+  if (!g.sorted_adjacency() || !ascending)
+    for (Vertex i = 0; i < n; ++i)
+      std::sort(out.adj_.data() + out.offsets_[i],
+                out.adj_.data() + out.offsets_[i + 1]);
+  for (Vertex v : vertices) pos[v] = kNoVertex;
   return out;
 }
 

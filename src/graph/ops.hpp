@@ -2,6 +2,7 @@
 
 // Structural graph operations: induced subgraphs and quotients (minors).
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -20,6 +21,16 @@ struct DerivedGraph {
 /// Subgraph induced by `vertices` (must be distinct). Vertex i of the result
 /// corresponds to vertices[i].
 DerivedGraph induced_subgraph(const Graph& g, const std::vector<Vertex>& vertices);
+
+/// The graph of induced_subgraph, written straight into CSR: one count pass,
+/// then exactly-sized arrays, O(|vertices| + their degrees) work. `pos` is a
+/// caller-owned map with at least g.num_vertices() entries, all kNoVertex on
+/// entry and again on return, so one map serves many calls. Adjacency comes
+/// out sorted; a list is sorted only when g's adjacency is unsorted (rotation
+/// systems) or `vertices` is not ascending. Like induced_subgraph, it
+/// rejects duplicate and out-of-range vertices.
+Graph induced_graph(const Graph& g, std::span<const Vertex> vertices,
+                    std::span<Vertex> pos);
 
 /// Quotient graph: vertices with the same non-negative label are merged;
 /// label kNoVertex drops the vertex. Self-loops and parallel edges of the

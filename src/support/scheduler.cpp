@@ -25,8 +25,21 @@ std::uint32_t TaskGraph::add(Fn fn) {
 void TaskGraph::add_edge(std::uint32_t pred, std::uint32_t succ) {
   require(pred < nodes_.size() && succ < nodes_.size(),
           "TaskGraph::add_edge: unknown task id");
-  nodes_[pred].successors.push_back(succ);
+  edges_.emplace_back(pred, succ);
   nodes_[succ].pending.fetch_add(1, std::memory_order_relaxed);
+}
+
+void TaskGraph::seal() {
+  // Counting sort by pred. Filling from the back keeps each task's
+  // successors in add_edge order and leaves every offset at its block's
+  // start.
+  succ_offsets_.assign(nodes_.size() + 1, 0);
+  for (const auto& edge : edges_) ++succ_offsets_[edge.first];
+  for (std::size_t id = 1; id < succ_offsets_.size(); ++id)
+    succ_offsets_[id] += succ_offsets_[id - 1];
+  succ_.resize(edges_.size());
+  for (auto it = edges_.rbegin(); it != edges_.rend(); ++it)
+    succ_[--succ_offsets_[it->first]] = it->second;
 }
 
 namespace detail {
@@ -128,7 +141,7 @@ class GraphRun {
         trap_.capture();
       }
     }
-    for (const std::uint32_t succ : node.successors) {
+    for (const std::uint32_t succ : graph_.successors(id)) {
       if (graph_.nodes_[succ].pending.fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         spawn(succ);
@@ -296,6 +309,7 @@ std::size_t Scheduler::serving_threads() {
 
 void Scheduler::run(TaskGraph& graph) {
   if (graph.size() == 0) return;
+  graph.seal();
   if (!omp_in_parallel() && omp_get_max_threads() == 1) {
     // Serial fast path: with one thread there is nothing to overlap, so
     // skip the region/task/handoff machinery and execute inline in a
@@ -318,7 +332,8 @@ void Scheduler::run(TaskGraph& graph) {
     // then rethrow to the caller.
     std::exception_ptr error;
     for (std::size_t next = 0; next < ready.size(); ++next) {
-      TaskGraph::Node& node = graph.nodes_[ready[next]];
+      const std::uint32_t id = ready[next];
+      TaskGraph::Node& node = graph.nodes_[id];
       if (node.fn && !error) {
         try {
           PPSI_FAULT_POINT("scheduler.task");
@@ -327,7 +342,7 @@ void Scheduler::run(TaskGraph& graph) {
           error = std::current_exception();
         }
       }
-      for (const std::uint32_t succ : node.successors) {
+      for (const std::uint32_t succ : graph.successors(id)) {
         if (graph.nodes_[succ].pending.fetch_sub(
                 1, std::memory_order_relaxed) == 1) {
           ready.push_back(succ);

@@ -60,6 +60,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "support/cancel.hpp"
@@ -143,18 +145,27 @@ class TaskGraph {
   struct Node {
     Fn fn;
     std::atomic<std::uint32_t> pending{0};  ///< unfinished predecessors
-    std::vector<std::uint32_t> successors;
 
     Node() = default;
     explicit Node(Fn f) : fn(std::move(f)) {}
-    // Build-time only (the vector may grow while single-threaded).
+    // Build-time only (the node vector may grow while single-threaded).
     Node(Node&& other) noexcept
         : fn(std::move(other.fn)),
-          pending(other.pending.load(std::memory_order_relaxed)),
-          successors(std::move(other.successors)) {}
+          pending(other.pending.load(std::memory_order_relaxed)) {}
   };
 
+  /// Buckets edges_ into the successor CSR; run() calls it once, before
+  /// any task starts. Each task keeps its successors in add_edge order.
+  void seal();
+  std::span<const std::uint32_t> successors(std::uint32_t id) const {
+    return {succ_.data() + succ_offsets_[id],
+            succ_.data() + succ_offsets_[id + 1]};
+  }
+
   std::vector<Node> nodes_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;  ///< (pred, succ)
+  std::vector<std::uint32_t> succ_offsets_;  ///< size() + 1 after seal()
+  std::vector<std::uint32_t> succ_;          ///< successors, grouped by pred
 };
 
 /// Executes TaskGraphs on the process-wide OMP thread pool.

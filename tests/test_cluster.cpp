@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "cluster/est_clustering.hpp"
 #include "cluster/parallel_bfs.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
+#include "support/parallel.hpp"
+#include "support/rng.hpp"
 
 namespace ppsi::cluster {
 namespace {
@@ -150,6 +153,181 @@ TEST(EstClustering, Observation1RetentionRate) {
     }
   }
   EXPECT_GT(kept, trials / 2) << "retention " << kept << "/" << trials;
+}
+
+/// The round loop as it stood when Phase 3 sorted and deduplicated every
+/// round's candidates: the oracle for the stamp-based gather. Records the
+/// largest frontier Phase 2 walked in `max_frontier`.
+std::uint64_t reference_key(double frac, Vertex center) {
+  const auto q = static_cast<std::uint64_t>(frac * 4294967296.0);
+  return (std::min<std::uint64_t>(q, 0xffffffffULL) << 32) | center;
+}
+
+void reference_atomic_min(std::uint64_t& slot, std::uint64_t value) {
+  std::atomic_ref<std::uint64_t> ref(slot);
+  std::uint64_t current = ref.load(std::memory_order_relaxed);
+  while (value < current && !ref.compare_exchange_weak(
+                                current, value, std::memory_order_relaxed)) {
+  }
+}
+
+Clustering sorted_round_reference(const Graph& g, double beta,
+                                  std::uint64_t seed,
+                                  support::Metrics* metrics,
+                                  std::size_t* max_frontier) {
+  constexpr std::uint32_t kUnclaimedRound = 0xffffffffu;
+  constexpr std::uint64_t kUnclaimedKey = 0xffffffffffffffffULL;
+  const Vertex n = g.num_vertices();
+  Clustering out;
+  out.cluster_of.assign(n, kNoVertex);
+  *max_frontier = 0;
+  if (n == 0) return out;
+
+  std::vector<double> start(n);
+  {
+    std::vector<double> shift(n);
+    support::parallel_for(0, n, [&](std::size_t v) {
+      support::Rng rng(seed, v);
+      shift[v] = rng.next_exponential(beta);
+    });
+    const double max_shift = support::parallel_reduce<double>(
+        0, n, 0.0, [&](std::size_t v) { return shift[v]; },
+        [](double a, double b) { return std::max(a, b); });
+    support::parallel_for(0, n, [&](std::size_t v) {
+      start[v] = max_shift - shift[v];
+    });
+  }
+
+  std::uint32_t max_round = 0;
+  for (Vertex v = 0; v < n; ++v)
+    max_round = std::max(max_round,
+                         static_cast<std::uint32_t>(std::floor(start[v])));
+  std::vector<std::vector<Vertex>> starters(max_round + 1);
+  for (Vertex v = 0; v < n; ++v)
+    starters[static_cast<std::uint32_t>(std::floor(start[v]))].push_back(v);
+
+  std::vector<std::uint64_t> key(n, kUnclaimedKey);
+  std::vector<std::uint32_t> claimed_round(n, kUnclaimedRound);
+  std::vector<Vertex> frontier;
+  std::uint64_t work = 0;
+  std::uint64_t claimed_total = 0;
+  std::uint32_t round = 0;
+  for (; claimed_total < n; ++round) {
+    // Phase 1: self-starts of this round claim themselves.
+    if (round <= max_round) {
+      for (Vertex v : starters[round]) {
+        ++work;
+        if (claimed_round[v] != kUnclaimedRound) continue;
+        reference_atomic_min(
+            key[v], reference_key(start[v] - std::floor(start[v]), v));
+        claimed_round[v] = round;
+      }
+    }
+    // Phase 2: the previous round's winners propose to their neighbors.
+    *max_frontier = std::max(*max_frontier, frontier.size());
+    support::parallel_for(0, frontier.size(), [&](std::size_t i) {
+      const Vertex u = frontier[i];
+      const std::uint64_t ku = key[u];
+      for (Vertex w : g.neighbors(u)) {
+        std::atomic_ref<std::uint64_t> wslot(work);
+        wslot.fetch_add(1, std::memory_order_relaxed);
+        std::atomic_ref<std::uint32_t> cr(claimed_round[w]);
+        const std::uint32_t rw = cr.load(std::memory_order_relaxed);
+        if (rw < round) continue;  // claimed in an earlier round
+        reference_atomic_min(key[w], ku);
+        cr.store(round, std::memory_order_relaxed);
+      }
+    });
+    // Phase 3: gather this round's winners as the next frontier.
+    std::vector<Vertex> candidates;
+    if (round <= max_round)
+      candidates.insert(candidates.end(), starters[round].begin(),
+                        starters[round].end());
+    for (Vertex u : frontier)
+      for (Vertex w : g.neighbors(u)) candidates.push_back(w);
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    std::vector<Vertex> next;
+    next.reserve(candidates.size());
+    for (Vertex v : candidates) {
+      if (claimed_round[v] == round) next.push_back(v);
+    }
+    claimed_total += next.size();
+    frontier.swap(next);
+  }
+
+  std::vector<Vertex> center(n);
+  support::parallel_for(0, n, [&](std::size_t v) {
+    center[v] = static_cast<Vertex>(key[v] & 0xffffffffULL);
+  });
+  std::vector<Vertex> compact(n, kNoVertex);
+  for (Vertex v = 0; v < n; ++v) {
+    if (center[v] == v && compact[v] == kNoVertex) {
+      compact[v] = out.count++;
+      out.center_of.push_back(v);
+    }
+  }
+  for (Vertex v = 0; v < n; ++v) {
+    support::require(compact[center[v]] != kNoVertex,
+                     "est_clustering: dangling center");
+    out.cluster_of[v] = compact[center[v]];
+  }
+  out.offsets.assign(out.count + 1, 0);
+  for (Vertex v = 0; v < n; ++v) ++out.offsets[out.cluster_of[v]];
+  support::exclusive_scan_inplace(out.offsets);
+  out.members.resize(n);
+  {
+    std::vector<std::uint32_t> cursor(out.offsets.begin(),
+                                      out.offsets.end() - 1);
+    for (Vertex v = 0; v < n; ++v) out.members[cursor[out.cluster_of[v]]++] = v;
+  }
+  out.num_rounds = round;
+  if (metrics != nullptr) {
+    metrics->add_work(work);
+    metrics->add_rounds(round);
+  }
+  return out;
+}
+
+// The stamp-based frontier gather lists each round's winners in discovery
+// order instead of sorted order; keys settle by an atomic min, so the
+// clustering, its rounds and its work must not move. The large grid's
+// frontier exceeds the parallel_for grain, so at several threads Phase 2
+// really runs in parallel.
+TEST(EstClustering, MatchesSortedRoundReference) {
+  const struct {
+    const char* name;
+    Graph g;
+    double beta;
+    std::uint64_t seed;
+    bool wide_frontier;
+  } cases[] = {
+      {"grid20x20", gen::grid_graph(20, 20), 4.0, 7, false},
+      {"apollonian300", gen::apollonian(300, 9).graph(), 6.0, 3, false},
+      {"gnp200", gen::gnp(200, 0.02, 1), 2.0, 11, false},
+      {"path1", gen::path_graph(1), 4.0, 1, false},
+      {"grid120x120", gen::grid_graph(120, 120), 1.0, 5, true},
+  };
+  for (const auto& c : cases) {
+    support::Metrics got_metrics;
+    support::Metrics want_metrics;
+    std::size_t max_frontier = 0;
+    const Clustering got = est_clustering(c.g, c.beta, c.seed, &got_metrics);
+    const Clustering want = sorted_round_reference(c.g, c.beta, c.seed,
+                                                   &want_metrics, &max_frontier);
+    EXPECT_EQ(got.cluster_of, want.cluster_of) << c.name;
+    EXPECT_EQ(got.center_of, want.center_of) << c.name;
+    EXPECT_EQ(got.count, want.count) << c.name;
+    EXPECT_EQ(got.offsets, want.offsets) << c.name;
+    EXPECT_EQ(got.members, want.members) << c.name;
+    EXPECT_EQ(got.num_rounds, want.num_rounds) << c.name;
+    EXPECT_EQ(got_metrics.work(), want_metrics.work()) << c.name;
+    EXPECT_EQ(got_metrics.rounds(), want_metrics.rounds()) << c.name;
+    if (c.wide_frontier) {
+      EXPECT_GT(max_frontier, support::kDefaultGrain) << c.name;
+    }
+  }
 }
 
 TEST(EstClustering, RoundsBound) {

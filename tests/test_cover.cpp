@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -33,6 +35,40 @@ TEST(KdCover, SlicesAreInducedAndBounded) {
     // a weaker, structural property: slice size is positive.
     EXPECT_GE(slice.graph.num_vertices(), 1u);
     for (const std::uint8_t o : slice.is_original) EXPECT_EQ(o, 1);
+  }
+}
+
+// Every slice is exactly the subgraph of g induced on its window, with
+// sorted adjacency, whether g's own adjacency is sorted (grid) or in
+// rotation order (Apollonian network).
+TEST(KdCover, SlicesAreExactlyInducedOnTheirWindow) {
+  const struct {
+    const char* name;
+    Graph g;
+  } cases[] = {
+      {"grid15x15", gen::grid_graph(15, 15)},
+      {"apollonian300", gen::apollonian(300, 4).graph()},
+  };
+  for (const auto& c : cases) {
+    for (const std::uint64_t seed : {3, 8}) {
+      const Cover cover = build_kd_cover(c.g, 2, 6.0, seed, 1);
+      ASSERT_FALSE(cover.slices.empty()) << c.name;
+      for (const Slice& slice : cover.slices) {
+        const DerivedGraph want = induced_subgraph(c.g, slice.origin_of);
+        ASSERT_EQ(slice.graph.num_vertices(), want.graph.num_vertices());
+        for (Vertex v = 0; v < slice.graph.num_vertices(); ++v) {
+          const auto got = slice.graph.neighbors(v);
+          const auto expect = want.graph.neighbors(v);
+          EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin(),
+                                 expect.end()))
+              << c.name << " seed " << seed << " vertex " << v;
+          EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                         std::greater_equal<>()) == got.end())
+              << c.name << " seed " << seed << " vertex " << v
+              << ": adjacency not strictly ascending";
+        }
+      }
+    }
   }
 }
 

@@ -61,6 +61,69 @@ TEST(InducedSubgraph, KeepsExactlyInternalEdges) {
     EXPECT_EQ(sub.origin_of[i], vs[i]);
 }
 
+// An unsorted (rotation-order) source and a non-ascending vertex order
+// both take the sorting path; the result must match a from_edges build of
+// the same induced edges, adjacency sorted.
+TEST(InducedSubgraph, UnsortedSourceAndOrderMatchFromEdges) {
+  const Graph g = gen::apollonian(60, 2).graph();
+  ASSERT_FALSE(g.sorted_adjacency());
+  const Graph sorted = Graph::from_edges(g.num_vertices(), g.edge_list());
+  std::vector<Vertex> ascending;
+  for (Vertex v = 0; v < g.num_vertices(); v += 2) ascending.push_back(v);
+  std::vector<Vertex> shuffled = ascending;
+  std::reverse(shuffled.begin(), shuffled.begin() + shuffled.size() / 2);
+  std::rotate(shuffled.begin(), shuffled.begin() + 5, shuffled.end());
+  const struct {
+    const char* name;
+    const Graph& source;
+    const std::vector<Vertex>& vertices;
+  } cases[] = {
+      {"unsorted source, ascending", g, ascending},
+      {"unsorted source, shuffled", g, shuffled},
+      {"sorted source, shuffled", sorted, shuffled},
+  };
+  for (const auto& c : cases) {
+    std::vector<Vertex> local(g.num_vertices(), kNoVertex);
+    for (std::size_t i = 0; i < c.vertices.size(); ++i)
+      local[c.vertices[i]] = static_cast<Vertex>(i);
+    EdgeList edges;
+    for (const auto& [u, v] : g.edge_list())
+      if (local[u] != kNoVertex && local[v] != kNoVertex)
+        edges.emplace_back(local[u], local[v]);
+    const Graph want =
+        Graph::from_edges(static_cast<Vertex>(c.vertices.size()), edges);
+    const DerivedGraph got = induced_subgraph(c.source, c.vertices);
+    ASSERT_EQ(got.graph.num_vertices(), want.num_vertices()) << c.name;
+    EXPECT_EQ(got.graph.num_edges(), want.num_edges()) << c.name;
+    EXPECT_TRUE(got.graph.sorted_adjacency()) << c.name;
+    for (Vertex v = 0; v < want.num_vertices(); ++v) {
+      const auto a = got.graph.neighbors(v);
+      const auto b = want.neighbors(v);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << c.name << " vertex " << v;
+    }
+    EXPECT_EQ(got.origin_of, c.vertices) << c.name;
+  }
+}
+
+// The caller-owned position map is clear again after every call, also
+// after a rejected duplicate.
+TEST(InducedSubgraph, PositionMapIsRestored) {
+  const Graph g = gen::grid_graph(6, 6);
+  std::vector<Vertex> pos(g.num_vertices(), kNoVertex);
+  const std::vector<Vertex> window = {3, 4, 9, 10, 15};
+  const Graph sub = induced_graph(g, window, pos);
+  EXPECT_EQ(sub.num_edges(), 5u);
+  EXPECT_TRUE(std::all_of(pos.begin(), pos.end(),
+                          [](Vertex p) { return p == kNoVertex; }));
+  const std::vector<Vertex> duplicate = {3, 4, 3};
+  EXPECT_THROW(induced_graph(g, duplicate, pos), std::invalid_argument);
+  EXPECT_TRUE(std::all_of(pos.begin(), pos.end(),
+                          [](Vertex p) { return p == kNoVertex; }));
+  const std::vector<Vertex> out_of_range = {3, 99};
+  EXPECT_THROW(induced_graph(g, out_of_range, pos), std::invalid_argument);
+}
+
 TEST(InducedSubgraph, RejectsDuplicates) {
   const Graph g = gen::path_graph(4);
   EXPECT_THROW(induced_subgraph(g, {1, 1}), std::invalid_argument);

@@ -78,9 +78,6 @@ std::string Status::to_string() const {
 Status validate(const QueryOptions& options) {
   if (options.list_limit == 0)
     return Status::InvalidOptions("list_limit must be positive");
-  if (options.stopping_slack > cover::kMaxStoppingSlack)
-    return Status::InvalidOptions(
-        "stopping_slack out of range (max kMaxStoppingSlack = 64)");
   switch (options.engine) {
     case cover::EngineKind::kSparse:
     case cover::EngineKind::kParallel:
@@ -109,6 +106,10 @@ std::uint32_t default_runs(Vertex n) {
   const double lg = std::log2(static_cast<double>(n) + 2.0);
   return static_cast<std::uint32_t>(2.0 * lg) + 4;
 }
+
+/// Additive constant of the listing stopping rule's streak (Theorem 4.2's
+/// Theta(log n) term is lg n plus this).
+constexpr std::uint32_t kStoppingSlack = 4;
 
 treedecomp::TreeDecomposition decompose_slice(const Slice& slice) {
   PPSI_FAULT_POINT("solver.decompose");
@@ -184,11 +185,9 @@ struct PlanList {
 iso::DpSolution solve_slice(const PlanSlot::Plan& plan,
                             const Pattern& pattern,
                             const QueryOptions& options,
-                            bool release_interior,
                             const support::CancelScope& cancel) {
   PPSI_FAULT_POINT("solver.slice");
   iso::ParallelOptions dp;
-  dp.release_interior = release_interior;
   // Polled per node (sequential, sparse) or per path task (parallel), so
   // an obsolete slice stops mid-solve.
   dp.cancel = cancel;
@@ -273,9 +272,6 @@ bool solve_all_slices(const Cover& cover, const PlanList& plans,
                       const Budget& budget, DecisionResult& run,
                       std::set<Assignment>* collect, std::size_t limit,
                       Status* interrupt) {
-  // Decision-only queries never recover assignments, so the engines may
-  // free each solved node as soon as its parent has consumed it.
-  const bool release_interior = options.decision_only && collect == nullptr;
   const bool decision_mode = collect == nullptr;
   const std::size_t num_slices = cover.slices.size();
   const support::CancelToken* token = budget.token();
@@ -411,7 +407,7 @@ bool solve_all_slices(const Cover& cover, const PlanList& plans,
           // queries actually solve.
           SliceOutcome& out = outcomes[i];
           out.sol = solve_slice(plans.get(i, cover.slices[i]), pattern,
-                                options, release_interior, scope);
+                                options, scope);
           if (scope.cancelled()) {
             out.sol = {};  // partial (paths/nodes skipped): free, never read
             return;
@@ -486,7 +482,7 @@ bool solve_all_slices(const Cover& cover, const PlanList& plans,
       outcome.sol = {};  // accounted; free before replaying the rest
       continue;
     }
-    if (!release_interior && !run.witness.has_value()) {
+    if (!run.witness.has_value()) {
       auto assignments = iso::recover_assignments(sol, 1);
       if (!assignments.empty()) {
         Assignment witness = assignments.front();
@@ -666,7 +662,7 @@ Status find_components(
     }
     if (all_found) {
       total.found = true;
-      if (!options.decision_only) total.witness = witness;
+      total.witness = witness;
       return {};
     }
     if (Status status = budget.check(total.metrics); !status.ok())
@@ -1104,7 +1100,7 @@ struct Solver::Impl {
         // for log2(j) + Theta(log n) iterations in a row.
         const auto threshold = static_cast<std::uint32_t>(
             std::ceil(std::log2(static_cast<double>(j) + 1.0) + lgn)) +
-            options.stopping_slack;
+            kStoppingSlack;
         if (streak >= threshold) return {};
         if (Status status = budget.check(result.metrics); !status.ok())
           return status;

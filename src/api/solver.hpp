@@ -53,9 +53,6 @@ struct QueryOptions {
   /// Listing cap; reaching it returns StatusCode::kListLimitReached with
   /// the truncated occurrence set. Must be positive.
   std::size_t list_limit = 1u << 22;
-  /// Extra additive constant of the listing stopping-rule streak; at most
-  /// cover::kMaxStoppingSlack.
-  std::uint32_t stopping_slack = 4;
   /// vertex_connectivity: below this size the exact flow baseline answers
   /// directly.
   Vertex small_cutoff = 8;
@@ -98,12 +95,6 @@ struct QueryOptions {
   /// time, so a later apply() never changes what an already-submitted
   /// query sees.
   const TargetVersion* at = nullptr;
-  /// Decision queries only: skip witness recovery and free each solved DP
-  /// node as soon as its parent has consumed it, so a query's peak memory
-  /// is one root frontier instead of the whole solved tree.
-  /// DecisionResult::witness stays empty; found/metrics are unchanged.
-  /// Ignored by listing queries (they must recover occurrences).
-  bool decision_only = false;
 };
 
 /// Default Solver cache bound: at most this many covers stay resident
@@ -112,8 +103,7 @@ struct QueryOptions {
 inline constexpr std::size_t kDefaultCacheCapacity = 256;
 
 /// Eager validation; every Solver query calls this first. Rejects a zero
-/// list_limit, a stopping_slack above cover::kMaxStoppingSlack, an unknown
-/// engine kind, and a negative or NaN deadline.
+/// list_limit, an unknown engine kind, and a negative or NaN deadline.
 Status validate(const QueryOptions& options);
 
 /// Cache observability (cumulative since construction / clear_cache()).

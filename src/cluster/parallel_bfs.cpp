@@ -12,7 +12,6 @@ BfsResult parallel_bfs(const Graph& g, std::span<const Vertex> sources,
   const Vertex n = g.num_vertices();
   BfsResult out;
   out.dist.assign(n, kUnreached);
-  out.parent.assign(n, kNoVertex);
   std::vector<Vertex> frontier;
   frontier.reserve(sources.size());
   for (Vertex s : sources) {
@@ -39,7 +38,6 @@ BfsResult parallel_bfs(const Graph& g, std::span<const Vertex> sources,
           ++work;
           if (out.dist[w] == kUnreached) {
             out.dist[w] = level;
-            out.parent[w] = u;
             next.push_back(w);
           }
         }
@@ -59,7 +57,6 @@ BfsResult parallel_bfs(const Graph& g, std::span<const Vertex> sources,
             if (slot.load(std::memory_order_relaxed) == kUnreached &&
                 slot.compare_exchange_strong(expected, level,
                                              std::memory_order_relaxed)) {
-              out.parent[w] = u;
               local.push_back(w);
             }
           }

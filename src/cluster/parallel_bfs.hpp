@@ -17,13 +17,13 @@ namespace ppsi::cluster {
 inline constexpr std::uint32_t kUnreached = 0xffffffffu;
 
 struct BfsResult {
-  std::vector<std::uint32_t> dist;   ///< kUnreached where not reached
-  std::vector<Vertex> parent;        ///< kNoVertex for sources / unreached
-  std::uint32_t num_levels = 0;      ///< number of BFS rounds executed
+  std::vector<std::uint32_t> dist;  ///< kUnreached where not reached
+  std::uint32_t num_levels = 0;     ///< number of BFS rounds executed
 };
 
 /// Multi-source BFS from `sources`. Work O(n + m) over the reached part,
 /// one synchronous round per level (recorded in num_levels and metrics).
+/// Distances, levels and work do not depend on the thread count.
 BfsResult parallel_bfs(const Graph& g, std::span<const Vertex> sources,
                        support::Metrics* metrics = nullptr);
 

@@ -246,10 +246,8 @@ Cover build_separating_cover(const Graph& g,
         slice.origin_of[rem_base + r] = rem_repr[r];
         slice.spec.in_s[rem_base + r] = rem_has_s[r];
       }
-      for (const Vertex comp : outside_used) {
+      for (const Vertex comp : outside_used)
         slice.spec.in_s[outside_local[comp]] = outside_has_s[comp];
-        slice.origin_of[outside_local[comp]] = kNoVertex;
-      }
       cover.slices.push_back(std::move(slice));
     }
     for (Vertex v : work.members) scratch[v] = kNoVertex;

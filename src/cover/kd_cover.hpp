@@ -30,8 +30,9 @@ namespace ppsi::cover {
 
 struct Slice {
   Graph graph;
-  /// Local vertex -> original vertex; merged minor vertices map to one
-  /// representative original vertex.
+  /// Local vertex -> original vertex. A merged remainder blob (inside the
+  /// cluster) maps to one representative original vertex; a merged outside
+  /// blob (build_separating_cover) maps to kNoVertex.
   std::vector<Vertex> origin_of;
   /// 1 for real (non-merged) vertices.
   std::vector<std::uint8_t> is_original;

@@ -24,11 +24,6 @@ enum class EngineKind {
   kSequential,  ///< §3.2 bottom-up DP over the full local state space
 };
 
-/// Upper bound on QueryOptions::stopping_slack: beyond this the streak
-/// threshold dwarfs any realistic iteration count and only burns cover
-/// runs, so larger values are treated as configuration mistakes.
-inline constexpr std::uint32_t kMaxStoppingSlack = 64;
-
 struct DecisionResult {
   bool found = false;
   std::optional<iso::Assignment> witness;  ///< original-graph images

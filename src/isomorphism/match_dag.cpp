@@ -260,7 +260,6 @@ PathStats solve_path(const Pattern& pattern,
     // ---- Install valid states (exact-sized storage per node). ----
     for (std::size_t j = 1; j < p; ++j) {
       const PathNodeMeta& pn = path[j];
-      if (options.release_interior && j + 1 < p) continue;  // freed below
       std::vector<StateKey>& valid = scratch.exact_states;
       const std::size_t valid_bytes = support::ScratchArena::bytes_of(valid);
       valid.clear();
@@ -275,21 +274,7 @@ PathStats solve_path(const Pattern& pattern,
   }
 
   // Signatures toward tree parents (used by higher layers and recovery).
-  // Decision-only runs skip the interior path nodes: their signatures feed
-  // recovery alone (the path parent consumed them through the DAG), and
-  // they are about to be freed as children of the next path node.
-  for (const NodeId x : nodes) {
-    if (options.release_interior && x != nodes.back()) continue;
-    detail::build_sig_groups(pattern, x, solution);
-  }
-  if (options.release_interior) {
-    // Every child of a path node has now been consumed: side children and
-    // the bottom node's children via the exact solve / DAG gating, interior
-    // path nodes as the path children of their successors.
-    for (const NodeId x : nodes)
-      for (const NodeId kid : plan.children(x))
-        solution.nodes[kid].release_interior(*solution.store);
-  }
+  for (const NodeId x : nodes) detail::build_sig_groups(pattern, x, solution);
   solution.metrics.add_work(work);
   solution.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);
   solution.metrics.note_scratch_peak(scratch.arena.peak_bytes());

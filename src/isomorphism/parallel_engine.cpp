@@ -42,8 +42,7 @@ DpSolution solve_parallel(const std::shared_ptr<const DpPlan>& plan,
                           const Pattern& pattern,
                           const ParallelOptions& options,
                           ParallelStats* stats) {
-  DpSolution sol =
-      detail::prepare_solution(plan, pattern, options.release_interior);
+  DpSolution sol = detail::prepare_solution(plan, pattern);
 
   // Lemma 3.2: layered path decomposition of the decomposition tree.
   treepath::Forest forest;

@@ -41,13 +41,13 @@ NodeEnv make_env(const DpSolution& sol, treedecomp::NodeId x) {
 namespace detail {
 
 DpSolution prepare_solution(const std::shared_ptr<const DpPlan>& plan,
-                            const Pattern& pattern, bool release_interior) {
+                            const Pattern& pattern) {
   DpSolution sol;
   sol.plan = plan;
   sol.codec = StateCodec::make(pattern.size(), plan->max_bag());
   sol.pin = parity_pin(*plan, pattern);
   sol.nodes.resize(plan->num_nodes());
-  sol.store = std::make_unique<NodeStore>(release_interior);
+  sol.store = std::make_unique<NodeStore>();
   return sol;
 }
 

@@ -46,12 +46,6 @@
 // looked up. The flat rewrite therefore reports bit-identical work to the
 // hash-map engine it replaced (pinned by the differential suites), while
 // the wall clock drops.
-//
-// Decision-only callers can set release_interior: once a node's parent has
-// consumed its signature groups, the node's storage is freed eagerly, so
-// the peak memory of a decision query is one root frontier instead of the
-// whole solved tree (the NodeStore recycles the freed blocks). Witness
-// recovery needs the full tree and must leave it unset.
 
 #include <cstdint>
 #include <memory>
@@ -80,14 +74,6 @@ struct SolvedNode {
   std::span<const StateKey> states;  ///< valid states, in discovery order
   /// CSR groups: projection toward the parent -> valid-state indices.
   SigIndex sig_groups;
-
-  /// Hands the solved storage back to `store` (decision-only queries, once
-  /// the parent has consumed this node).
-  void release_interior(NodeStore& store) {
-    store.release(states.data(), states.size_bytes());
-    states = {};
-    sig_groups.release(store);
-  }
 };
 
 struct DpSolution {
@@ -109,9 +95,6 @@ struct DpOptions {
   /// taking (graph, decomposition) read it, to build their plan; a plan
   /// carries the spec it was built with.
   SeparatingSpec spec;
-  /// Free each node's storage as soon as its parent consumed it; leaves
-  /// only the root solved. Decision-only (recovery impossible afterwards).
-  bool release_interior = false;
   /// Cooperative cancellation, checked once per decomposition node: a
   /// cancelled engine stops mid-tree and returns its partial solution with
   /// accepted == false. Callers must treat such a solution as garbage
@@ -312,9 +295,9 @@ bool for_each_support_combo_ref(const StateCodec& codec, const BagView& ctx,
 
 /// The setup every engine starts from: the codec sized by the plan's
 /// widest bag, the parity pin, and one empty SolvedNode per plan node
-/// backed by a fresh NodeStore (recycling when `release_interior`).
+/// backed by a fresh NodeStore.
 DpSolution prepare_solution(const std::shared_ptr<const DpPlan>& plan,
-                            const Pattern& pattern, bool release_interior);
+                            const Pattern& pattern);
 
 /// Copies `states` into a block of `store` (none when empty).
 std::span<const StateKey> store_states(NodeStore& store,
@@ -346,7 +329,7 @@ template <class SolveNode>
 DpSolution solve_bottom_up(const std::shared_ptr<const DpPlan>& plan,
                            const Pattern& pattern, const DpOptions& options,
                            SolveNode&& solve_node) {
-  DpSolution sol = prepare_solution(plan, pattern, options.release_interior);
+  DpSolution sol = prepare_solution(plan, pattern);
   std::uint64_t work = 0;
   DpScratch& scratch = DpScratch::local();
   const std::uint64_t allocs_before = scratch.arena.alloc_events();
@@ -361,12 +344,6 @@ DpSolution solve_bottom_up(const std::shared_ptr<const DpPlan>& plan,
     PPSI_FAULT_POINT("dp.node");
     solve_node(sol, x, work);
     sol.metrics.add_rounds(1);
-    // x consumed its children's signature groups; nothing reads them (or
-    // the children's states) again in a decision-only run.
-    if (options.release_interior) {
-      for (const treedecomp::NodeId kid : plan->children(x))
-        sol.nodes[kid].release_interior(*sol.store);
-    }
   }
   sol.metrics.add_work(work);
   sol.metrics.add_allocs(scratch.arena.alloc_events() - allocs_before);

@@ -60,15 +60,6 @@ class SigIndex {
       offsets_[distinct] = static_cast<std::uint32_t>(pairs.size());
   }
 
-  /// Hands the storage back to `store` and empties the index
-  /// (decision-only queries release solved interior nodes once their
-  /// parent has consumed them).
-  void release(NodeStore& store) {
-    if (num_sigs_ != 0 || num_indices_ != 0)
-      store.release(sigs_, bytes_for(num_sigs_, num_indices_));
-    *this = SigIndex();
-  }
-
   bool contains(const StateKey& sig) const { return slot_of(sig) >= 0; }
 
   /// State indices projecting to `sig` (empty when absent; groups of
@@ -99,7 +90,6 @@ class SigIndex {
   void allocate(std::size_t distinct, std::size_t n, NodeStore& store) {
     *this = SigIndex();
     num_sigs_ = distinct;
-    num_indices_ = n;
     if (distinct == 0 && n == 0) return;
     std::byte* raw = store.allocate(bytes_for(distinct, n));
     sigs_ = std::launder(reinterpret_cast<StateKey*>(raw));
@@ -119,7 +109,6 @@ class SigIndex {
   std::uint32_t* offsets_ = nullptr;
   std::uint32_t* indices_ = nullptr;
   std::size_t num_sigs_ = 0;
-  std::size_t num_indices_ = 0;
 };
 
 }  // namespace ppsi::iso

@@ -113,6 +113,9 @@ struct alignas(alignof(T) > 64 ? alignof(T) : 64) PaddedAccumulator {
 
 /// Parallel reduction of f(i) over [begin, end) with a commutative,
 /// associative combiner; `identity` is the combiner's neutral element.
+/// One contiguous block per thread (the static partition: the first
+/// count % threads blocks take one extra item), each folded serially, then
+/// the partials folded in block order.
 template <typename T, typename F, typename Combine>
 T parallel_reduce(std::size_t begin, std::size_t end, T identity, F&& f,
                   Combine&& combine, std::size_t grain = kDefaultGrain) {
@@ -123,34 +126,29 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, F&& f,
     for (std::size_t i = begin; i < end; ++i) acc = combine(acc, f(i));
     return acc;
   }
-  const int threads = num_threads();
-  std::vector<PaddedAccumulator<T>> partial(static_cast<std::size_t>(threads),
+  const std::size_t blocks = static_cast<std::size_t>(num_threads());
+  const std::size_t base = count / blocks;
+  const std::size_t extra = count % blocks;
+  std::vector<PaddedAccumulator<T>> partial(blocks,
                                             PaddedAccumulator<T>{identity});
-  detail::RegionTrap trap;
-#pragma omp parallel
-  {
-    const int t = omp_get_thread_num();
-    T acc = identity;
-#pragma omp for schedule(static) nowait
-    for (std::size_t i = begin; i < end; ++i) {
-      if (!trap.failed()) {
-        try {
-          acc = combine(acc, f(i));
-        } catch (...) {
-          trap.capture();
-        }
-      }
-    }
-    partial[static_cast<std::size_t>(t)].value = acc;
-  }
-  trap.rethrow();
+  parallel_for(
+      0, blocks,
+      [&](std::size_t b) {
+        const std::size_t lo = begin + b * base + std::min(b, extra);
+        const std::size_t hi = lo + base + (b < extra ? 1 : 0);
+        T acc = identity;
+        for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, f(i));
+        partial[b].value = acc;
+      },
+      /*grain=*/1);
   T acc = identity;
   for (const PaddedAccumulator<T>& p : partial) acc = combine(acc, p.value);
   return acc;
 }
 
 /// Exclusive prefix sum of `values` in place; returns the total.
-/// Two-pass blocked scan (O(n) work, O(log n) PRAM depth shape).
+/// Two-pass blocked scan (O(n) work, O(log n) PRAM depth shape), one
+/// contiguous block per thread.
 template <typename T>
 T exclusive_scan_inplace(std::vector<T>& values) {
   const std::size_t n = values.size();
@@ -168,31 +166,35 @@ T exclusive_scan_inplace(std::vector<T>& values) {
   const std::size_t blocks = static_cast<std::size_t>(threads);
   const std::size_t block_size = (n + blocks - 1) / blocks;
   std::vector<T> block_total(blocks, T{});
-#pragma omp parallel for schedule(static)
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * block_size;
-    const std::size_t hi = std::min(n, lo + block_size);
-    T acc{};
-    for (std::size_t i = lo; i < hi; ++i) acc += values[i];
-    block_total[b] = acc;
-  }
+  parallel_for(
+      0, blocks,
+      [&](std::size_t b) {
+        const std::size_t lo = b * block_size;
+        const std::size_t hi = std::min(n, lo + block_size);
+        T acc{};
+        for (std::size_t i = lo; i < hi; ++i) acc += values[i];
+        block_total[b] = acc;
+      },
+      /*grain=*/1);
   T total{};
   for (std::size_t b = 0; b < blocks; ++b) {
     T v = block_total[b];
     block_total[b] = total;
     total += v;
   }
-#pragma omp parallel for schedule(static)
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * block_size;
-    const std::size_t hi = std::min(n, lo + block_size);
-    T acc = block_total[b];
-    for (std::size_t i = lo; i < hi; ++i) {
-      T v = values[i];
-      values[i] = acc;
-      acc += v;
-    }
-  }
+  parallel_for(
+      0, blocks,
+      [&](std::size_t b) {
+        const std::size_t lo = b * block_size;
+        const std::size_t hi = std::min(n, lo + block_size);
+        T acc = block_total[b];
+        for (std::size_t i = lo; i < hi; ++i) {
+          T v = values[i];
+          values[i] = acc;
+          acc += v;
+        }
+      },
+      /*grain=*/1);
   return total;
 }
 

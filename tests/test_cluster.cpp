@@ -6,6 +6,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <omp.h>
+#include <string>
+#include <vector>
 
 #include "cluster/est_clustering.hpp"
 #include "cluster/parallel_bfs.hpp"
@@ -42,13 +45,55 @@ TEST(ParallelBfs, MultiSourceTakesMinimum) {
     EXPECT_EQ(r.dist[v], std::min(v, 19 - v));
 }
 
-TEST(ParallelBfs, ParentsFormTree) {
-  const Graph g = gen::grid_graph(10, 10);
-  const BfsResult r = parallel_bfs(g, Vertex{0});
-  for (Vertex v = 1; v < g.num_vertices(); ++v) {
-    ASSERT_NE(r.parent[v], kNoVertex);
-    EXPECT_EQ(r.dist[v], r.dist[r.parent[v]] + 1);
-    EXPECT_TRUE(g.has_edge(v, r.parent[v]));
+// Frontiers of at least support::kDefaultGrain vertices expand in
+// parallel, claiming vertices by CAS. Distances, levels and work must still
+// be those of a serial BFS at every thread count. The reference is
+// bfs_distances from a super-source joined to every source; work is one
+// unit per source plus the degree of every reached vertex.
+TEST(ParallelBfs, WideFrontierMatchesSerialAtEveryThreadCount) {
+  struct Input {
+    const char* name;
+    Graph g;
+    std::vector<Vertex> sources;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"star5000 hub", gen::star_graph(5000), {0}});
+  inputs.push_back({"star5000 leaf", gen::star_graph(5000), {4321}});
+  {
+    Input grid{"grid90x90 sources", gen::grid_graph(90, 90), {}};
+    for (Vertex v = 0; v < grid.g.num_vertices(); v += 3)
+      grid.sources.push_back(v);
+    inputs.push_back(std::move(grid));
+  }
+  for (const Input& in : inputs) {
+    const Vertex n = in.g.num_vertices();
+    EdgeList edges = in.g.edge_list();
+    for (const Vertex s : in.sources) edges.emplace_back(n, s);
+    const auto via_root = bfs_distances(Graph::from_edges(n + 1, edges), n);
+    std::uint64_t want_work = in.sources.size();
+    std::uint32_t want_levels = 0;
+    for (Vertex v = 0; v < n; ++v) {
+      if (via_root[v] == kNoDistance) continue;
+      want_work += in.g.degree(v);
+      want_levels = std::max(want_levels, via_root[v]);  // max dist + 1
+    }
+    const int saved = omp_get_max_threads();
+    for (const int threads : {1, 4}) {
+      omp_set_num_threads(threads);
+      support::Metrics metrics;
+      const BfsResult got = parallel_bfs(in.g, in.sources, &metrics);
+      const std::string at =
+          std::string(in.name) + " threads " + std::to_string(threads);
+      for (Vertex v = 0; v < n; ++v) {
+        const std::uint32_t want =
+            via_root[v] == kNoDistance ? kUnreached : via_root[v] - 1;
+        ASSERT_EQ(got.dist[v], want) << at << " vertex " << v;
+      }
+      EXPECT_EQ(got.num_levels, want_levels) << at;
+      EXPECT_EQ(metrics.rounds(), want_levels) << at;
+      EXPECT_EQ(metrics.work(), want_work) << at;
+    }
+    omp_set_num_threads(saved);
   }
 }
 

@@ -441,8 +441,7 @@ DpSolution parallel_over_plan(const std::shared_ptr<const DpPlan>& plan,
 // The Solver caches one plan per slice and solves every pattern over it.
 // One plan reused for two patterns must give each pattern what a solve
 // over its own decomposition gives: the same states in the same order,
-// signature groups, accepting states, work and rounds, on every engine
-// and with interior release on and off.
+// signature groups, accepting states, work and rounds, on every engine.
 TEST(DpPlan, OnePlanServesTwoPatternsOnEveryEngine) {
   const std::pair<PlanEngine, Engine> engines[] = {
       {&solve_sequential, &solve_sequential},
@@ -456,27 +455,23 @@ TEST(DpPlan, OnePlanServesTwoPatternsOnEveryEngine) {
     options.spec = testing::spec_for(c);
     const auto plan = std::make_shared<const DpPlan>(c.g, td, options.spec);
     for (const auto& [over_plan, over_td] : engines) {
-      for (const bool release : {false, true}) {
-        options.release_interior = release;
-        for (const Pattern* pattern : {&c.pattern, &other}) {
-          const std::string at = c.name + " k " +
-                                 std::to_string(pattern->size()) +
-                                 " release " + std::to_string(release);
-          const DpSolution got = over_plan(plan, *pattern, options);
-          const DpSolution want = over_td(c.g, td, *pattern, options);
-          EXPECT_EQ(got.plan, plan) << at;
-          EXPECT_EQ(got.metrics.work(), want.metrics.work()) << at;
-          EXPECT_EQ(got.metrics.rounds(), want.metrics.rounds()) << at;
-          EXPECT_EQ(got.accepting, want.accepting) << at;
-          ASSERT_EQ(got.nodes.size(), want.nodes.size()) << at;
-          for (std::size_t x = 0; x < want.nodes.size(); ++x) {
-            const std::string node = at + " node " + std::to_string(x);
-            ASSERT_TRUE(std::ranges::equal(got.nodes[x].states,
-                                           want.nodes[x].states))
-                << node;
-            testing::expect_same_sig_groups(got.nodes[x], want.nodes[x],
-                                            node);
-          }
+      for (const Pattern* pattern : {&c.pattern, &other}) {
+        const std::string at =
+            c.name + " k " + std::to_string(pattern->size());
+        const DpSolution got = over_plan(plan, *pattern, options);
+        const DpSolution want = over_td(c.g, td, *pattern, options);
+        EXPECT_EQ(got.plan, plan) << at;
+        EXPECT_EQ(got.metrics.work(), want.metrics.work()) << at;
+        EXPECT_EQ(got.metrics.rounds(), want.metrics.rounds()) << at;
+        EXPECT_EQ(got.accepting, want.accepting) << at;
+        ASSERT_EQ(got.nodes.size(), want.nodes.size()) << at;
+        for (std::size_t x = 0; x < want.nodes.size(); ++x) {
+          const std::string node = at + " node " + std::to_string(x);
+          ASSERT_TRUE(std::ranges::equal(got.nodes[x].states,
+                                         want.nodes[x].states))
+              << node;
+          testing::expect_same_sig_groups(got.nodes[x], want.nodes[x],
+                                          node);
         }
       }
     }
@@ -572,38 +567,32 @@ TEST(ScratchReuse, SmallSolveAfterLargeMatchesAFreshThread) {
   const auto small_td = decomposition_of(small);
   for (const Engine engine : std::initializer_list<Engine>{
            &solve_sparse, &solve_sequential}) {
-    for (const bool release : {false, true}) {
-      DpOptions large_options;
-      large_options.spec = colour_class_spec(6, 6);
-      large_options.release_interior = release;
-      DpOptions small_options;
-      small_options.spec = colour_class_spec(3, 4);
-      small_options.release_interior = release;
-      engine(large, large_td, cycle6, large_options);
-      // The sparse engine's scratch dedup set must not carry the thrown
-      // node's states into the next solve.
-      if (engine == static_cast<Engine>(&solve_sparse))
-        throw_mid_node(engine);
-      const DpSolution reused = engine(small, small_td, path3, small_options);
-      DpSolution fresh;
-      std::thread([&] {
-        fresh = engine(small, small_td, path3, small_options);
-      }).join();
-      ASSERT_EQ(reused.nodes.size(), fresh.nodes.size());
-      for (std::size_t x = 0; x < fresh.nodes.size(); ++x) {
-        const std::string context =
-            "node " + std::to_string(x) + " release " + std::to_string(release);
-        EXPECT_TRUE(std::ranges::equal(reused.nodes[x].states,
-                                       fresh.nodes[x].states))
-            << context;
-        testing::expect_same_sig_groups(reused.nodes[x], fresh.nodes[x],
-                                        context);
-      }
-      EXPECT_TRUE(fresh.accepted);
-      EXPECT_EQ(reused.accepting, fresh.accepting);
-      EXPECT_EQ(reused.metrics.work(), fresh.metrics.work());
-      EXPECT_EQ(reused.metrics.rounds(), fresh.metrics.rounds());
+    DpOptions large_options;
+    large_options.spec = colour_class_spec(6, 6);
+    DpOptions small_options;
+    small_options.spec = colour_class_spec(3, 4);
+    engine(large, large_td, cycle6, large_options);
+    // The sparse engine's scratch dedup set must not carry the thrown
+    // node's states into the next solve.
+    if (engine == static_cast<Engine>(&solve_sparse)) throw_mid_node(engine);
+    const DpSolution reused = engine(small, small_td, path3, small_options);
+    DpSolution fresh;
+    std::thread([&] {
+      fresh = engine(small, small_td, path3, small_options);
+    }).join();
+    ASSERT_EQ(reused.nodes.size(), fresh.nodes.size());
+    for (std::size_t x = 0; x < fresh.nodes.size(); ++x) {
+      const std::string context = "node " + std::to_string(x);
+      EXPECT_TRUE(std::ranges::equal(reused.nodes[x].states,
+                                     fresh.nodes[x].states))
+          << context;
+      testing::expect_same_sig_groups(reused.nodes[x], fresh.nodes[x],
+                                      context);
     }
+    EXPECT_TRUE(fresh.accepted);
+    EXPECT_EQ(reused.accepting, fresh.accepting);
+    EXPECT_EQ(reused.metrics.work(), fresh.metrics.work());
+    EXPECT_EQ(reused.metrics.rounds(), fresh.metrics.rounds());
   }
 }
 

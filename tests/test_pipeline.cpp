@@ -49,6 +49,7 @@ std::vector<PipelineCase> pipeline_cases() {
       {"tree40_star4", gen::random_tree(40, 4), gen::star_graph(4)},
       {"tree40_c3", gen::random_tree(40, 4), gen::complete_graph(3)},
       {"wheel12_k3", gen::wheel(12).graph(), gen::complete_graph(3)},
+      {"grid8_c5", gen::grid_graph(8, 8), gen::cycle_graph(5)},  // bipartite
   };
 }
 
@@ -99,7 +100,7 @@ TEST_P(Decision, EppsteinBaselineAgrees) {
     verify_witness(c.g, pattern, *epp.witness);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cases, Decision, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(Cases, Decision, ::testing::Range(0, 13));
 
 TEST(Decision, NeverFalsePositive) {
   // Soundness is deterministic: repeated queries for absent patterns must

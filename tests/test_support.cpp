@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "support/metrics.hpp"
@@ -28,16 +29,19 @@ TEST(ParallelFor, EmptyAndSingleton) {
 }
 
 TEST(ParallelReduce, MatchesSerialSum) {
-  const std::size_t n = 123456;
   const auto value = [](std::size_t i) {
     return static_cast<std::uint64_t>(i * 2654435761u % 1000);
   };
-  std::uint64_t serial = 0;
-  for (std::size_t i = 0; i < n; ++i) serial += value(i);
-  EXPECT_EQ(parallel_reduce<std::uint64_t>(
-                0, n, 0, value,
-                [](std::uint64_t a, std::uint64_t b) { return a + b; }),
-            serial);
+  // 123457 leaves a remainder at 2, 3 and 4 threads: uneven blocks.
+  for (const std::size_t n : {123456u, 123457u}) {
+    std::uint64_t serial = 0;
+    for (std::size_t i = 0; i < n; ++i) serial += value(i);
+    EXPECT_EQ(parallel_reduce<std::uint64_t>(
+                  0, n, 0, value,
+                  [](std::uint64_t a, std::uint64_t b) { return a + b; }),
+              serial)
+        << n;
+  }
 }
 
 TEST(ParallelReduce, MaxCombiner) {
@@ -51,6 +55,17 @@ TEST(ParallelReduce, MaxCombiner) {
   for (std::size_t i = 0; i < 100000; ++i)
     expect = std::max(expect, static_cast<std::uint32_t>((i * 37) % 54321));
   EXPECT_EQ(r, expect);
+}
+
+TEST(ParallelReduce, BodyExceptionReachesTheCaller) {
+  const auto throwing = [](std::size_t i) -> std::uint64_t {
+    if (i == 77777) throw std::runtime_error("reduce body");
+    return 1;
+  };
+  EXPECT_THROW(parallel_reduce<std::uint64_t>(
+                   0, 100000, 0, throwing,
+                   [](std::uint64_t a, std::uint64_t b) { return a + b; }),
+               std::runtime_error);
 }
 
 class ScanSizes : public ::testing::TestWithParam<std::size_t> {};

@@ -28,15 +28,14 @@ inline void expect_same_sig_groups(const iso::SolvedNode& got,
   }
 }
 
-/// Expects every non-root node of `sol` (solved with release_interior off)
-/// to carry the signature groups that detail::build_sig_groups recomputes
-/// from the node's states. The sparse engine builds them while it
-/// discovers the states; the other engines call build_sig_groups itself.
+/// Expects every non-root node of `sol` to carry the signature groups that
+/// detail::build_sig_groups recomputes from the node's states. The sparse
+/// engine builds them while it discovers the states; the other engines call
+/// build_sig_groups itself.
 inline void expect_reference_sig_groups(const iso::DpSolution& sol,
                                         const iso::Pattern& pattern,
                                         const std::string& context) {
-  iso::DpSolution rebuilt =
-      iso::detail::prepare_solution(sol.plan, pattern, false);
+  iso::DpSolution rebuilt = iso::detail::prepare_solution(sol.plan, pattern);
   for (treedecomp::NodeId x = 0; x < sol.nodes.size(); ++x) {
     if (x == sol.plan->root()) continue;
     rebuilt.nodes[x].states = sol.nodes[x].states;

@@ -7,15 +7,4 @@ DpScratch& DpScratch::local() {
   return scratch;
 }
 
-void DpScratch::grow_slots(std::size_t n) {
-  // Slot-array growth is itself a scratch allocation event; the inner
-  // buffers' heap storage is tracked as they are acquired/settled.
-  const std::size_t before = support::ScratchArena::bytes_of(path_states) +
-                             support::ScratchArena::bytes_of(path_index);
-  if (path_states.size() < n) path_states.resize(n);
-  if (path_index.size() < n) path_index.resize(n);
-  arena.settle(before, support::ScratchArena::bytes_of(path_states) +
-                           support::ScratchArena::bytes_of(path_index));
-}
-
 }  // namespace ppsi::iso::detail

@@ -24,7 +24,10 @@ constexpr std::uint32_t kNoTarget = 0xffffffffu;
 // exactly the per-vertex push order of the previous vector-of-vectors
 // adjacency — which keeps the BFS traversal (and its instrumented work
 // count) bit-identical while replacing one heap vector per DAG vertex with
-// three reusable flat arrays.
+// three reusable flat arrays. Candidates and junction projections stage
+// through the thread's StagedStates (isomorphism/dp_scratch.hpp); a
+// projection's pi vertex id is the junction's first pi id plus its
+// first-seen index.
 PathStats solve_path(const Pattern& pattern,
                      std::span<const treedecomp::NodeId> nodes,
                      const ParallelOptions& options, DpSolution& solution) {
@@ -58,22 +61,20 @@ PathStats solve_path(const Pattern& pattern,
         pn.states = solved.states.data();
         pn.num_states = static_cast<std::uint32_t>(solved.states.size());
       } else {
-        std::vector<StateKey>& cand = scratch.states_slot(j);
-        detail::StateIndexMap& cindex = scratch.index_slot(j);
-        const std::size_t cand_bytes = support::ScratchArena::bytes_of(cand);
-        const std::size_t index_bytes = cindex.capacity_bytes();
+        // Enumeration yields distinct states, so staging keeps them all,
+        // in order; the set then answers the translation lookups.
+        detail::StagedStates& cand = scratch.path_states[j];
+        const std::size_t cand_bytes =
+            support::ScratchArena::bytes_of(cand.states);
+        cand.clear();
         enumerate_local_states(pattern, solution.ctx(pn.id), codec, sep,
                                [&](StateKey key) {
-                                 cindex.emplace(
-                                     key, static_cast<std::uint32_t>(
-                                              cand.size()));
-                                 cand.push_back(key);
+                                 cand.stage(key.code, key.sep, scratch.arena);
                                });
         scratch.arena.settle(cand_bytes,
-                             support::ScratchArena::bytes_of(cand));
-        scratch.arena.settle(index_bytes, cindex.capacity_bytes());
-        pn.states = cand.data();
-        pn.num_states = static_cast<std::uint32_t>(cand.size());
+                             support::ScratchArena::bytes_of(cand.states));
+        pn.states = cand.states.data();
+        pn.num_states = static_cast<std::uint32_t>(cand.states.size());
         stats.enumerated_states += pn.num_states;
         // Wire children: the path child plus at most one side child.
         const std::span<const NodeId> kids = plan.children(pn.id);
@@ -105,12 +106,13 @@ PathStats solve_path(const Pattern& pattern,
       const PathNodeMeta& hi = path[j + 1];
       const BagView lo_ctx = solution.ctx(lo.id);
       const BagView hi_ctx = solution.ctx(hi.id);
-      const detail::StateIndexMap& hi_index = scratch.path_index[j + 1];
-      // Projections of lo's states toward hi: pi vertices.
-      detail::StateIndexMap& pi_map = scratch.pi_map;
-      const std::size_t pi_bytes = pi_map.capacity_bytes();
-      pi_map.clear();
-      pi_map.reserve(lo.num_states);
+      const detail::StagedStates& hi_cand = scratch.path_states[j + 1];
+      // Projections of lo's states toward hi: pi vertices, numbered from
+      // first_pi in first-seen order (pi id = first_pi + index in pis).
+      detail::StagedStates& pis = scratch.pis;
+      const std::size_t pi_bytes = support::ScratchArena::bytes_of(pis.states);
+      pis.clear();
+      const std::uint32_t first_pi = next_vertex;
       // hi is lo's tree parent, so the plan's table re-addresses each
       // projection instead of a binary search per mapped vertex.
       const std::int8_t* lo_to_hi = plan.to_parent(lo.id);
@@ -120,24 +122,23 @@ PathStats solve_path(const Pattern& pattern,
         const auto proj = project_to_parent(state, view_of(codec, state.code),
                                             codec, pattern, lo_ctx, lo_to_hi);
         if (!proj.has_value()) continue;
-        std::uint32_t pi_id = pi_map.find(*proj);
-        if (pi_id == support::kFlatNotFound) {
-          pi_id = next_vertex++;
-          pi_map.emplace(*proj, pi_id);
-        }
-        edges.emplace_back(lo.base + i, pi_id);
+        edges.emplace_back(lo.base + i,
+                           first_pi + pis.stage(proj->code, proj->sep,
+                                                scratch.arena));
         ++stats.dag_edges;
         // Translation edge (base mode): the unique no-new-match extension
         // is exactly the projection read as a state of the parent bag.
         if (!sep) {
-          const std::uint32_t t = hi_index.find(*proj);
-          if (t != support::kFlatNotFound) {
+          const std::uint32_t t = hi_cand.find(*proj);
+          if (t != detail::IndexSet::kAbsent) {
             translate_target[lo.base + i] = hi.base + t;
             ++stats.translation_edges;
           }
         }
       }
-      scratch.arena.settle(pi_bytes, pi_map.capacity_bytes());
+      next_vertex += static_cast<std::uint32_t>(pis.states.size());
+      scratch.arena.settle(pi_bytes,
+                           support::ScratchArena::bytes_of(pis.states));
       // Heavy edges pi -> parent candidate, gated by the side child. Edges
       // are emitted in combo enumeration order (the stable counting sort
       // below depends on it); every combo ticks one unit of work.
@@ -155,9 +156,9 @@ PathStats solve_path(const Pattern& pattern,
               if (side_solved != nullptr &&
                   !side_solved->sig_groups.contains(*sl))
                 return false;
-              const std::uint32_t pi_id = pi_map.find(*sr);
-              if (pi_id != support::kFlatNotFound) {
-                edges.emplace_back(pi_id, hi.base + i);
+              const std::uint32_t pi = pis.find(*sr);
+              if (pi != detail::IndexSet::kAbsent) {
+                edges.emplace_back(first_pi + pi, hi.base + i);
                 ++stats.dag_edges;
               }
               return false;  // enumerate every combo

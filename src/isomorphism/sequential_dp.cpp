@@ -154,22 +154,22 @@ DpSolution solve_sequential(const Graph& g,
 namespace {
 
 /// Deduping, capped, k-strided assignment accumulator: candidates insert
-/// through a small open-addressing set (ordinal+1 slots over the flat item
-/// array), so membership is "first `limit` distinct in enumeration order"
-/// — exactly the std::set-based semantics it replaces — while the cap
-/// bounds the expansion work as results accumulate.
+/// through an IndexSet over the ordinals of the flat item array, so
+/// membership is "first `limit` distinct in enumeration order" (exactly
+/// the std::set-based semantics it replaces) while the cap bounds the
+/// expansion work as results accumulate. The set's growth is not scratch
+/// of the thread's arena: a Recoverer lives for one call.
 struct AssignmentAccum {
   std::uint32_t k = 0;
-  std::vector<Vertex> items;         ///< count * k, insertion order
-  std::vector<std::uint32_t> table;  ///< open addressing; 0 = empty
+  std::vector<Vertex> items;  ///< count * k, insertion order
+  detail::IndexSet set;       ///< over the ordinals 0..count-1
   std::uint32_t count = 0;
 
   void reset(std::uint32_t width) {
     k = width;
     items.clear();
     count = 0;
-    if (table.size() < 64) table.resize(64);
-    std::fill(table.begin(), table.end(), 0);
+    set.reset();
   }
 
   static std::uint64_t hash_span(const Vertex* a, std::uint32_t k) {
@@ -180,21 +180,15 @@ struct AssignmentAccum {
 
   /// Inserts unless present; returns true when new.
   bool insert(const Vertex* a) {
-    if ((static_cast<std::size_t>(count) + 1) * 2 >= table.size()) grow();
-    const std::size_t mask = table.size() - 1;
-    std::size_t i = hash_span(a, k) & mask;
-    while (true) {
-      const std::uint32_t slot = table[i];
-      if (slot == 0) {
-        table[i] = count + 1;
-        items.insert(items.end(), a, a + k);
-        ++count;
-        return true;
-      }
-      if (std::equal(a, a + k, items.data() + (slot - 1) * std::size_t{k}))
-        return false;
-      i = (i + 1) & mask;
-    }
+    const std::uint32_t held = set.insert(
+        hash_span(a, k), count,
+        [&](std::uint32_t ordinal) { return std::equal(a, a + k, at(ordinal)); },
+        [&](std::uint32_t ordinal) { return hash_span(at(ordinal), k); },
+        nullptr);
+    if (held != count) return false;
+    items.insert(items.end(), a, a + k);
+    ++count;
+    return true;
   }
 
   const Vertex* at(std::uint32_t ordinal) const {
@@ -211,18 +205,6 @@ struct AssignmentAccum {
                 return std::lexicographical_compare(at(a), at(a) + k, at(b),
                                                     at(b) + k);
               });
-  }
-
- private:
-  void grow() {
-    std::vector<std::uint32_t> old = std::move(table);
-    table.assign(old.size() * 2, 0);
-    const std::size_t mask = table.size() - 1;
-    for (std::uint32_t ordinal = 0; ordinal < count; ++ordinal) {
-      std::size_t i = hash_span(at(ordinal), k) & mask;
-      while (table[i] != 0) i = (i + 1) & mask;
-      table[i] = ordinal + 1;
-    }
   }
 };
 

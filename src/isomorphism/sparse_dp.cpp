@@ -63,15 +63,11 @@ struct NodeGen {
   /// Stages state {code, sep} (whose code decodes to `view`) unless
   /// already present, and appends its projection toward the parent, so
   /// the pairs come out in state-index order as build_sig_groups would
-  /// produce them. The halves arrive as two scalars: a StateKey argument
-  /// is spilled as two 8-byte stores and reloaded as one 16-byte load,
-  /// which stalls store forwarding once per emitted state.
+  /// produce them. The halves arrive as scalars, as in StagedStates::stage.
   void emit(std::uint64_t code, std::uint64_t sep, const StateView& view) {
     const auto index =
-        static_cast<std::uint32_t>(scratch.exact_states.size());
-    if (!scratch.staged_set.insert(scratch.exact_states, code, sep,
-                                   scratch.arena))
-      return;
+        static_cast<std::uint32_t>(scratch.staged.states.size());
+    if (scratch.staged.stage(code, sep, scratch.arena) != index) return;
     if (to_parent == nullptr) return;
     const auto sig = project_to_parent(StateKey{code, sep}, view, codec,
                                        pattern, ctx, to_parent);
@@ -199,13 +195,12 @@ void solve_sparse_node(const Pattern& pattern, treedecomp::NodeId x,
   // node's exact-sized array (as in solve_node_exact). The dedup set is
   // swept here, before the node, so a node that threw leaves nothing
   // behind for the next one.
-  std::vector<StateKey>& staged = scratch.exact_states;
+  std::vector<StateKey>& staged = scratch.staged.states;
   auto& pairs = scratch.sig_pairs;
   const std::size_t staged_bytes = support::ScratchArena::bytes_of(staged);
   const std::size_t pairs_bytes = support::ScratchArena::bytes_of(pairs);
-  staged.clear();
+  scratch.staged.clear();
   pairs.clear();
-  scratch.staged_set.begin_node(scratch.arena);
   NodeGen gen{codec, pattern, ctx, plan.separating(),
               has_parent ? plan.to_parent(x) : nullptr, scratch};
   const std::span<const treedecomp::NodeId> kids = plan.children(x);

@@ -1,17 +1,19 @@
-// Unit tests of the flat-state storage layer: the open-addressing FlatMap
-// (collision chains, growth rehash, exact reserve, clear-with-capacity),
-// the CSR SigIndex (grouping, empty/absent lookups, input-order
-// independence), and the ScratchArena growth accounting.
+// Unit tests of the flat-state storage layer: the DP's one dedup set,
+// IndexSet (full collision chains, growth across several prefixes, reuse
+// after a large use, absent lookups, StateKey and k-strided elements), the
+// CSR SigIndex (grouping, empty/absent lookups, input-order independence),
+// and the ScratchArena growth accounting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "isomorphism/dp_scratch.hpp"
 #include "isomorphism/sig_index.hpp"
 #include "support/arena.hpp"
-#include "support/flat_table.hpp"
 #include "support/rng.hpp"
 
 namespace ppsi {
@@ -19,103 +21,160 @@ namespace {
 
 using iso::SigIndex;
 using iso::StateKey;
-using iso::StateKeyHash;
-using support::FlatMap;
-using support::kFlatNotFound;
+using iso::detail::IndexSet;
 
-struct U64Hash {
-  std::size_t operator()(std::uint64_t v) const {
-    return support::splitmix64(v);
+/// An IndexSet over a caller-owned array of 64-bit keys, with the hash
+/// chosen by the test.
+struct U64Keys {
+  std::size_t (*hash)(std::uint64_t);
+  std::vector<std::uint64_t> keys;
+  IndexSet set;
+
+  /// Index of `key`, appending it when new.
+  std::uint32_t insert(std::uint64_t key, support::ScratchArena* arena) {
+    const auto next = static_cast<std::uint32_t>(keys.size());
+    const std::uint32_t held = set.insert(
+        hash(key), next, [&](std::uint32_t i) { return keys[i] == key; },
+        [&](std::uint32_t i) { return hash(keys[i]); }, arena);
+    if (held == next) keys.push_back(key);
+    return held;
+  }
+  std::uint32_t find(std::uint64_t key) const {
+    return set.find(hash(key),
+                    [&](std::uint32_t i) { return keys[i] == key; });
+  }
+  void reset() {
+    keys.clear();
+    set.reset();
   }
 };
 
+std::size_t mixed_hash(std::uint64_t v) { return support::splitmix64(v); }
 /// Worst case: every key probes from the same slot.
-struct CollidingHash {
-  std::size_t operator()(std::uint64_t) const { return 42; }
-};
+std::size_t colliding_hash(std::uint64_t) { return 42; }
 
-TEST(FlatMap, InsertAndFind) {
-  FlatMap<std::uint64_t, U64Hash> map;
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.find(7), kFlatNotFound);
-  EXPECT_TRUE(map.emplace(7, 70));
-  EXPECT_TRUE(map.emplace(9, 90));
-  EXPECT_EQ(map.size(), 2u);
-  EXPECT_EQ(map.find(7), 70u);
-  EXPECT_EQ(map.find(9), 90u);
-  EXPECT_EQ(map.find(8), kFlatNotFound);
-  EXPECT_TRUE(map.contains(7));
-  EXPECT_FALSE(map.contains(8));
-}
-
-TEST(FlatMap, DuplicateEmplaceKeepsFirstValue) {
-  FlatMap<std::uint64_t, U64Hash> map;
-  EXPECT_TRUE(map.emplace(5, 1));
-  EXPECT_FALSE(map.emplace(5, 2));
-  EXPECT_EQ(map.size(), 1u);
-  EXPECT_EQ(map.find(5), 1u);
-}
-
-TEST(FlatMap, FullCollisionChainStaysCorrect) {
-  FlatMap<std::uint64_t, CollidingHash> map;
-  constexpr std::uint32_t kN = 200;
+TEST(IndexSet, FullCollisionChainStaysCorrect) {
+  U64Keys table{colliding_hash, {}, {}};
+  constexpr std::uint32_t kN = 200;  // grows across several prefixes too
   for (std::uint32_t i = 0; i < kN; ++i)
-    ASSERT_TRUE(map.emplace(1000 + i, i));
-  EXPECT_EQ(map.size(), kN);
+    ASSERT_EQ(table.insert(1000 + i, nullptr), i);
+  EXPECT_EQ(table.keys.size(), kN);
+  // A duplicate keeps its first index and appends nothing.
+  EXPECT_EQ(table.insert(1000 + 17, nullptr), 17u);
+  EXPECT_EQ(table.keys.size(), kN);
   for (std::uint32_t i = 0; i < kN; ++i)
-    EXPECT_EQ(map.find(1000 + i), i) << i;
+    EXPECT_EQ(table.find(1000 + i), i) << i;
   // Absent keys on the same chain terminate.
-  EXPECT_EQ(map.find(999), kFlatNotFound);
-  EXPECT_EQ(map.find(1000 + kN), kFlatNotFound);
+  EXPECT_EQ(table.find(999), IndexSet::kAbsent);
+  EXPECT_EQ(table.find(1000 + kN), IndexSet::kAbsent);
 }
 
-TEST(FlatMap, GrowthRehashPreservesEntries) {
-  FlatMap<std::uint64_t, U64Hash> map;  // no reserve: must rehash repeatedly
+TEST(IndexSet, GrowthAcrossPrefixesPreservesEntries) {
+  U64Keys table{mixed_hash, {}, {}};
+  support::ScratchArena arena;
   support::Rng rng(3);
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 5000; ++i) keys.push_back(rng.next_u64() | 1);
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  // Absent lookups before the first insert (no live prefix yet).
+  EXPECT_EQ(table.find(keys[0]), IndexSet::kAbsent);
+  for (std::uint32_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(table.insert(keys[i], &arena), i);
+    // Every held index stays findable across each doubling.
+    if ((i & (i + 1)) != 0) continue;
+    for (std::uint32_t j = 0; j <= i; ++j) ASSERT_EQ(table.find(keys[j]), j);
+  }
   for (std::uint32_t i = 0; i < keys.size(); ++i)
-    ASSERT_TRUE(map.emplace(keys[i], i));
-  EXPECT_EQ(map.size(), keys.size());
-  for (std::uint32_t i = 0; i < keys.size(); ++i)
-    ASSERT_EQ(map.find(keys[i]), i);
-  // Load factor stays under 7/8 after growth.
-  EXPECT_GT(map.bucket_count() * 7 / 8, map.size());
+    ASSERT_EQ(table.find(keys[i]), i);
+  EXPECT_EQ(table.find(2), IndexSet::kAbsent);  // keys are odd
+  // Slot growth reported to the arena: the minimum prefix doubled to at
+  // least 5000 / (7/8) slots.
+  EXPECT_GE(arena.alloc_events(), 8u);
+  EXPECT_GE(arena.footprint_bytes(), 8192 * sizeof(std::uint32_t));
 }
 
-TEST(FlatMap, ExactReserveNeverRehashes) {
-  FlatMap<std::uint64_t, U64Hash> map;
-  constexpr std::size_t kN = 1234;
-  map.reserve(kN);
-  const std::size_t buckets = map.bucket_count();
-  for (std::size_t i = 0; i < kN; ++i)
-    ASSERT_TRUE(map.emplace(i * 2654435761u + 1, static_cast<std::uint32_t>(i)));
-  EXPECT_EQ(map.bucket_count(), buckets);
-  EXPECT_EQ(map.size(), kN);
+TEST(IndexSet, ReuseAfterALargeUseStartsEmpty) {
+  U64Keys table{mixed_hash, {}, {}};
+  support::ScratchArena arena;
+  for (std::uint64_t v = 0; v < 3000; ++v) table.insert(v, &arena);
+  const std::uint64_t events = arena.alloc_events();
+  table.reset();
+  for (std::uint64_t v = 0; v < 3000; ++v)
+    ASSERT_EQ(table.find(v), IndexSet::kAbsent) << v;
+  // A small use after the large one: fresh indices, nothing left behind,
+  // and no slot growth (the large use's slots are reused).
+  for (std::uint64_t v = 2990; v < 3010; ++v)
+    EXPECT_EQ(table.insert(v, &arena), v - 2990);
+  EXPECT_EQ(table.find(5), IndexSet::kAbsent);
+  EXPECT_EQ(arena.alloc_events(), events);
+  // A reset after the small use sweeps only its prefix; the large use's
+  // entries past that prefix were swept by the first reset.
+  table.reset();
+  for (std::uint64_t v = 0; v < 3010; ++v)
+    ASSERT_EQ(table.find(v), IndexSet::kAbsent) << v;
+  EXPECT_EQ(table.insert(7, &arena), 0u);
 }
 
-TEST(FlatMap, ClearKeepsCapacityAndEmpties) {
-  FlatMap<std::uint64_t, U64Hash> map;
-  for (std::uint32_t i = 0; i < 100; ++i) map.emplace(i, i);
-  const std::size_t buckets = map.bucket_count();
-  map.clear();
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_EQ(map.bucket_count(), buckets);
-  EXPECT_EQ(map.find(1), kFlatNotFound);
-  EXPECT_TRUE(map.emplace(1, 11));
-  EXPECT_EQ(map.find(1), 11u);
-}
-
-TEST(FlatMap, WorksWithStateKeys) {
-  FlatMap<StateKey, StateKeyHash> map;
+TEST(IndexSet, IndexesStateKeys) {
+  iso::detail::StagedStates staged;
+  support::ScratchArena arena;
   const StateKey a{0x12, 0}, b{0x12, 1}, c{0x13, 0};
-  map.emplace(a, 0);
-  map.emplace(b, 1);
-  EXPECT_EQ(map.find(a), 0u);
-  EXPECT_EQ(map.find(b), 1u);  // sep distinguishes
-  EXPECT_EQ(map.find(c), kFlatNotFound);
+  EXPECT_EQ(staged.find(a), IndexSet::kAbsent);  // before the first stage
+  EXPECT_EQ(staged.stage(a.code, a.sep, arena), 0u);
+  EXPECT_EQ(staged.stage(b.code, b.sep, arena), 1u);
+  EXPECT_EQ(staged.stage(a.code, a.sep, arena), 0u);
+  ASSERT_EQ(staged.states.size(), 2u);
+  EXPECT_EQ(staged.find(a), 0u);
+  EXPECT_EQ(staged.find(b), 1u);  // sep distinguishes
+  EXPECT_EQ(staged.find(c), IndexSet::kAbsent);
+  // Many states: each lands at its staging index.
+  for (std::uint64_t code = 0; code < 500; ++code)
+    staged.stage(code << 8, code & 3, arena);
+  EXPECT_EQ(staged.states.size(), 502u);
+  for (std::uint32_t i = 0; i < staged.states.size(); ++i)
+    ASSERT_EQ(staged.find(staged.states[i]), i);
+  staged.clear();
+  EXPECT_EQ(staged.find(a), IndexSet::kAbsent);
+  EXPECT_EQ(staged.stage(c.code, c.sep, arena), 0u);
+}
+
+TEST(IndexSet, IndexesKStridedKeys) {
+  // Ordinals into a flat k-strided array, hashed and compared k words at a
+  // time, as recovery's assignment accumulator keys them.
+  constexpr std::uint32_t k = 3;
+  std::vector<Vertex> items;
+  IndexSet set;
+  const auto hash_of = [](const Vertex* a) {
+    std::uint64_t h = 0;
+    for (std::uint32_t i = 0; i < k; ++i) h = support::hash_combine(h, a[i]);
+    return h;
+  };
+  const auto insert = [&](std::array<Vertex, k> a) {
+    const auto next = static_cast<std::uint32_t>(items.size() / k);
+    const std::uint32_t held = set.insert(
+        hash_of(a.data()), next,
+        [&](std::uint32_t o) {
+          return std::equal(a.begin(), a.end(), items.data() + o * k);
+        },
+        [&](std::uint32_t o) { return hash_of(items.data() + o * k); },
+        nullptr);
+    if (held == next) items.insert(items.end(), a.begin(), a.end());
+    return held;
+  };
+  EXPECT_EQ(insert({1, 2, 3}), 0u);
+  EXPECT_EQ(insert({3, 2, 1}), 1u);  // order matters
+  EXPECT_EQ(insert({1, 2, 3}), 0u);
+  for (Vertex v = 0; v < 400; ++v) EXPECT_EQ(insert({v, v + 1, 7}), v + 2);
+  EXPECT_EQ(insert({5, 6, 7}), 7u);
+  EXPECT_EQ(items.size(), 402u * k);
+  const Vertex absent[k] = {2, 1, 3};
+  EXPECT_EQ(set.find(hash_of(absent),
+                     [&](std::uint32_t o) {
+                       return std::equal(absent, absent + k,
+                                         items.data() + o * k);
+                     }),
+            IndexSet::kAbsent);
 }
 
 // ---- SigIndex ----

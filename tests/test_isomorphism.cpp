@@ -565,34 +565,42 @@ TEST(ScratchReuse, SmallSolveAfterLargeMatchesAFreshThread) {
   const Pattern path3 = Pattern::from_graph(gen::path_graph(3));
   const auto large_td = decomposition_of(large);
   const auto small_td = decomposition_of(small);
+  // Base mode (spec off) runs the path solve's translation lookups into
+  // its per-path-node candidate sets; separating mode runs the labelled
+  // states through the same sets.
   for (const Engine engine : std::initializer_list<Engine>{
-           &solve_sparse, &solve_sequential}) {
-    DpOptions large_options;
-    large_options.spec = colour_class_spec(6, 6);
-    DpOptions small_options;
-    small_options.spec = colour_class_spec(3, 4);
-    engine(large, large_td, cycle6, large_options);
-    // The sparse engine's scratch dedup set must not carry the thrown
-    // node's states into the next solve.
-    if (engine == static_cast<Engine>(&solve_sparse)) throw_mid_node(engine);
-    const DpSolution reused = engine(small, small_td, path3, small_options);
-    DpSolution fresh;
-    std::thread([&] {
-      fresh = engine(small, small_td, path3, small_options);
-    }).join();
-    ASSERT_EQ(reused.nodes.size(), fresh.nodes.size());
-    for (std::size_t x = 0; x < fresh.nodes.size(); ++x) {
-      const std::string context = "node " + std::to_string(x);
-      EXPECT_TRUE(std::ranges::equal(reused.nodes[x].states,
-                                     fresh.nodes[x].states))
-          << context;
-      testing::expect_same_sig_groups(reused.nodes[x], fresh.nodes[x],
-                                      context);
+           &solve_sparse, &solve_sequential, &parallel_over_td}) {
+    for (const bool separating : {false, true}) {
+      SCOPED_TRACE(separating ? "separating" : "base");
+      DpOptions large_options;
+      DpOptions small_options;
+      if (separating) {
+        large_options.spec = colour_class_spec(6, 6);
+        small_options.spec = colour_class_spec(3, 4);
+      }
+      engine(large, large_td, cycle6, large_options);
+      // The sparse engine's scratch dedup set must not carry the thrown
+      // node's states into the next solve.
+      if (engine == static_cast<Engine>(&solve_sparse)) throw_mid_node(engine);
+      const DpSolution reused = engine(small, small_td, path3, small_options);
+      DpSolution fresh;
+      std::thread([&] {
+        fresh = engine(small, small_td, path3, small_options);
+      }).join();
+      ASSERT_EQ(reused.nodes.size(), fresh.nodes.size());
+      for (std::size_t x = 0; x < fresh.nodes.size(); ++x) {
+        const std::string context = "node " + std::to_string(x);
+        EXPECT_TRUE(std::ranges::equal(reused.nodes[x].states,
+                                       fresh.nodes[x].states))
+            << context;
+        testing::expect_same_sig_groups(reused.nodes[x], fresh.nodes[x],
+                                        context);
+      }
+      EXPECT_TRUE(fresh.accepted);
+      EXPECT_EQ(reused.accepting, fresh.accepting);
+      EXPECT_EQ(reused.metrics.work(), fresh.metrics.work());
+      EXPECT_EQ(reused.metrics.rounds(), fresh.metrics.rounds());
     }
-    EXPECT_TRUE(fresh.accepted);
-    EXPECT_EQ(reused.accepting, fresh.accepting);
-    EXPECT_EQ(reused.metrics.work(), fresh.metrics.work());
-    EXPECT_EQ(reused.metrics.rounds(), fresh.metrics.rounds());
   }
 }
 

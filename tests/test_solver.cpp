@@ -396,8 +396,9 @@ TEST(SolverScratch, AllocationCounterGoesFlatAcrossRepeatedQueries) {
   Solver solver(gen::grid_graph(8, 8));
   const Pattern c4 = cycle_pattern(4);
   // The sparse engine is the default; its per-node dedup set is scratch
-  // too.
-  for (const auto engine : {EngineKind::kSequential, EngineKind::kSparse}) {
+  // too, as are the parallel engine's per-path-node and projection sets.
+  for (const auto engine : {EngineKind::kSequential, EngineKind::kSparse,
+                            EngineKind::kParallel}) {
     QueryOptions opts;
     opts.max_runs = 3;
     opts.engine = engine;
